@@ -158,7 +158,6 @@ struct Builder {
                                           const std::vector<sim::TaskId>& f2) {
     const int kc = k % pc;
     const int kr = k % pr;
-    const int w = lay.width(k);
     const double ncols_total =
         static_cast<double>(lay.panel_cols(k).size());
 
@@ -179,7 +178,7 @@ struct Builder {
     // exchange half-step SX (gather + send the local subrow pieces)
     // followed by the apply step SW that waits for the peers' pieces.
     // Only columns whose realized pivot left the diagonal move subrows
-    // (`moved` == w when no realized counts were supplied): an
+    // (`moved` is the block width when no realized counts were supplied): an
     // interchange-free step degenerates to the pivot-sequence multicast
     // that already gates SX, with nothing to exchange afterwards.
     const double moved = moved_cols(k);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "matrix/io.hpp"
 #include "util/check.hpp"
 
 namespace sstar::io {
@@ -110,6 +112,11 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
     ss >> nrow >> ncol >> nnz >> neltvl;
     SSTAR_CHECK_MSG(nrow > 0 && ncol > 0 && nnz > 0,
                     "bad HB dimensions: " << line);
+    SSTAR_CHECK_MSG(nrow <= INT_MAX && ncol <= INT_MAX && nnz <= INT_MAX &&
+                        nnz <= nrow * ncol,
+                    "HB dimensions exceed INT_MAX or the matrix size: "
+                        << nrow << " x " << ncol << ", " << nnz
+                        << " entries");
   }
   const char vtype = hb.type[0];
   const char sym = hb.type[1];
@@ -135,7 +142,7 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
 
   // Column pointers (1-based), row indices, values.
   std::vector<long long> col_ptr;
-  col_ptr.reserve(static_cast<std::size_t>(ncol) + 1);
+  col_ptr.reserve(header_reserve(ncol + 1));
   read_fields(in, ptrfmt, ncol + 1, [&](const std::string& f) {
     col_ptr.push_back(std::atoll(f.c_str()));
   });
@@ -143,14 +150,14 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
                   "inconsistent HB column pointers");
 
   std::vector<int> rows;
-  rows.reserve(static_cast<std::size_t>(nnz));
+  rows.reserve(header_reserve(nnz));
   read_fields(in, indfmt, nnz, [&](const std::string& f) {
     rows.push_back(std::atoi(f.c_str()));
   });
 
   std::vector<double> vals;
   if (vtype == 'R') {
-    vals.reserve(static_cast<std::size_t>(nnz));
+    vals.reserve(header_reserve(nnz));
     read_fields(in, valfmt, nnz, [&](const std::string& f) {
       vals.push_back(std::strtod(f.c_str(), nullptr));
     });
@@ -159,8 +166,10 @@ SparseMatrix read_harwell_boeing(std::istream& in, HbInfo* info) {
   }
 
   std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(nnz) * (sym == 'U' ? 1 : 2));
+  t.reserve(header_reserve(nnz * (sym == 'U' ? 1 : 2)));
   for (long long j = 0; j < ncol; ++j) {
+    SSTAR_CHECK_MSG(col_ptr[j] <= col_ptr[j + 1],
+                    "inconsistent HB column pointers");
     for (long long k = col_ptr[j] - 1; k < col_ptr[j + 1] - 1; ++k) {
       const int i = rows[k] - 1;
       SSTAR_CHECK_MSG(i >= 0 && i < nrow, "HB row index out of range");

@@ -1,5 +1,7 @@
 #include "matrix/io.hpp"
 
+#include <algorithm>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
@@ -40,23 +42,36 @@ SparseMatrix read_matrix_market(std::istream& in) {
   std::istringstream dims(line);
   long long rows = 0, cols = 0, entries = 0;
   dims >> rows >> cols >> entries;
-  SSTAR_CHECK_MSG(rows > 0 && cols > 0 && entries >= 0,
+  SSTAR_CHECK_MSG(!dims.fail() && rows > 0 && cols > 0 && entries >= 0,
                   "bad Matrix Market size line: " << line);
+  SSTAR_CHECK_MSG(rows <= INT_MAX && cols <= INT_MAX,
+                  "Matrix Market size " << rows << " x " << cols
+                                        << " exceeds INT_MAX");
+  // No file holds more entries than the matrix has positions.
+  SSTAR_CHECK_MSG(entries <= INT_MAX && entries <= rows * cols,
+                  "Matrix Market entry count " << entries << " exceeds "
+                      << std::min<long long>(INT_MAX, rows * cols)
+                      << " for a " << rows << " x " << cols << " matrix");
 
   std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(entries));
+  t.reserve(header_reserve(symmetry == "symmetric" ? 2 * entries : entries));
   for (long long e = 0; e < entries; ++e) {
     long long i = 0, j = 0;
     double v = 1.0;
     in >> i >> j;
     if (field != "pattern") in >> v;
-    SSTAR_CHECK_MSG(in.good() || in.eof(), "truncated entry " << e);
+    SSTAR_CHECK_MSG(!in.fail(), "truncated Matrix Market stream: entry "
+                                    << e + 1 << " of " << entries
+                                    << " is missing or malformed");
     SSTAR_CHECK_MSG(i >= 1 && i <= rows && j >= 1 && j <= cols,
                     "entry out of range: " << i << " " << j);
     t.push_back({static_cast<int>(i - 1), static_cast<int>(j - 1), v});
     if (symmetry == "symmetric" && i != j)
       t.push_back({static_cast<int>(j - 1), static_cast<int>(i - 1), v});
   }
+  SSTAR_CHECK_MSG(t.size() <= static_cast<std::size_t>(INT_MAX),
+                  "symmetric Matrix Market file expands to " << t.size()
+                      << " entries, more than INT_MAX");
   return SparseMatrix::from_triplets(static_cast<int>(rows),
                                      static_cast<int>(cols), std::move(t));
 }

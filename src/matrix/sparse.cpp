@@ -138,19 +138,39 @@ SparseMatrix SparseMatrix::permuted(const std::vector<int>& row_new_to_old,
       row_old_to_new[old] = i;
     }
   }
-
-  std::vector<Triplet> t;
-  t.reserve(row_idx_.size());
-  for (int jn = 0; jn < cols_; ++jn) {
-    const int jo = col_new_to_old.empty() ? jn : col_new_to_old[jn];
-    SSTAR_CHECK(jo >= 0 && jo < cols_);
-    for (int k = col_ptr_[jo]; k < col_ptr_[jo + 1]; ++k) {
-      const int io =
-          row_old_to_new.empty() ? row_idx_[k] : row_old_to_new[row_idx_[k]];
-      t.push_back({io, jn, values_[k]});
+  if (!col_new_to_old.empty()) {
+    std::vector<char> seen(static_cast<std::size_t>(cols_), 0);
+    for (int jo : col_new_to_old) {
+      SSTAR_CHECK(jo >= 0 && jo < cols_ && !seen[jo]);
+      seen[jo] = 1;
     }
   }
-  return from_triplets(rows_, cols_, std::move(t));
+
+  auto new_row = [&](int io) {
+    return row_old_to_new.empty() ? io : row_old_to_new[io];
+  };
+  // Build Bᵀ first: scanning B's columns in order leaves each column of
+  // Bᵀ (a row of B) sorted, and transposing back sorts each column of B.
+  // Two linear passes; a valid A has no duplicates to sum.
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.col_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
+  t.row_idx_.resize(row_idx_.size());
+  t.values_.resize(values_.size());
+  for (int r : row_idx_)
+    ++t.col_ptr_[static_cast<std::size_t>(new_row(r)) + 1];
+  for (int r = 0; r < rows_; ++r) t.col_ptr_[r + 1] += t.col_ptr_[r];
+  std::vector<int> next(t.col_ptr_.begin(), t.col_ptr_.end() - 1);
+  for (int jn = 0; jn < cols_; ++jn) {
+    const int jo = col_new_to_old.empty() ? jn : col_new_to_old[jn];
+    for (int k = col_ptr_[jo]; k < col_ptr_[jo + 1]; ++k) {
+      const int pos = next[new_row(row_idx_[k])]++;
+      t.row_idx_[pos] = jn;
+      t.values_[pos] = values_[k];
+    }
+  }
+  return t.transpose();
 }
 
 void SparseMatrix::multiply(const std::vector<double>& x,

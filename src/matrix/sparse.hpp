@@ -93,7 +93,8 @@ class SparseMatrix {
 
   /// Permuted copy B = A(p, q): B(i, j) = A(p[i], q[j]) where p maps
   /// new row index -> old row index (and likewise q for columns).
-  /// Either permutation may be empty meaning identity.
+  /// Either permutation may be empty meaning identity; a non-empty one
+  /// must be a permutation (checked). O(nnz + rows + cols).
   SparseMatrix permuted(const std::vector<int>& row_new_to_old,
                         const std::vector<int>& col_new_to_old) const;
 

@@ -28,6 +28,45 @@ std::vector<int> elimination_tree(const Pattern& sym) {
   return parent;
 }
 
+std::vector<int> column_etree(const SparseMatrix& a,
+                              const std::vector<int>& col_order) {
+  const int n = a.cols();
+  if (!col_order.empty()) {
+    SSTAR_CHECK(static_cast<int>(col_order.size()) == n);
+    std::vector<char> seen(static_cast<std::size_t>(n), 0);
+    for (int c : col_order) {
+      SSTAR_CHECK_MSG(c >= 0 && c < n && !seen[c],
+                      "column_etree: col_order is not a permutation");
+      seen[c] = 1;
+    }
+  }
+  std::vector<int> parent(static_cast<std::size_t>(n), -1);
+  std::vector<int> ancestor(static_cast<std::size_t>(n), -1);
+  // prev[r] = the latest column (in etree numbering) with a nonzero in
+  // row r; it stands in for all earlier columns of row r's clique.
+  std::vector<int> prev(static_cast<std::size_t>(a.rows()), -1);
+  for (int j = 0; j < n; ++j) {
+    const int col = col_order.empty() ? j : col_order[j];
+    for (int k = a.col_begin(col); k < a.col_end(col); ++k) {
+      const int r = a.row_idx()[k];
+      // Same walk as elimination_tree, entered at prev[r] instead of a
+      // column of AᵀA.
+      int i = prev[r];
+      while (i != -1 && i < j) {
+        const int next = ancestor[i];
+        ancestor[i] = j;
+        if (next == -1) {
+          parent[i] = j;
+          break;
+        }
+        i = next;
+      }
+      prev[r] = j;
+    }
+  }
+  return parent;
+}
+
 std::vector<int> postorder(const std::vector<int>& parent) {
   const int n = static_cast<int>(parent.size());
   // Build child lists (younger children first for determinism).

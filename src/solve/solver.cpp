@@ -22,42 +22,46 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
 
   SolverSetup setup;
   // 0. Optional equilibration: rows to unit max magnitude, then columns.
-  SparseMatrix a0 = a;
+  //    Without it the input is read in place.
+  SparseMatrix scaled;
   if (opt.equilibrate) {
+    scaled = a;
     // Row scales: 1 / max |row| (empty rows keep scale 1).
     setup.row_scale.assign(static_cast<std::size_t>(n), 0.0);
     for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
-        setup.row_scale[a0.row_idx()[k]] =
-            std::max(setup.row_scale[a0.row_idx()[k]],
-                     std::fabs(a0.values()[k]));
+      for (int k = scaled.col_begin(j); k < scaled.col_end(j); ++k)
+        setup.row_scale[scaled.row_idx()[k]] =
+            std::max(setup.row_scale[scaled.row_idx()[k]],
+                     std::fabs(scaled.values()[k]));
     for (double& s : setup.row_scale) s = s > 0.0 ? 1.0 / s : 1.0;
 
     // Column scales on the row-scaled matrix, then apply both.
     setup.col_scale.assign(static_cast<std::size_t>(n), 0.0);
     for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
+      for (int k = scaled.col_begin(j); k < scaled.col_end(j); ++k)
         setup.col_scale[j] =
             std::max(setup.col_scale[j],
-                     std::fabs(a0.values()[k]) *
-                         setup.row_scale[a0.row_idx()[k]]);
+                     std::fabs(scaled.values()[k]) *
+                         setup.row_scale[scaled.row_idx()[k]]);
     for (double& s : setup.col_scale) s = s > 0.0 ? 1.0 / s : 1.0;
     for (int j = 0; j < n; ++j)
-      for (int k = a0.col_begin(j); k < a0.col_end(j); ++k)
-        a0.values()[k] *=
-            setup.row_scale[a0.row_idx()[k]] * setup.col_scale[j];
+      for (int k = scaled.col_begin(j); k < scaled.col_end(j); ++k)
+        scaled.values()[k] *=
+            setup.row_scale[scaled.row_idx()[k]] * setup.col_scale[j];
   }
+  const SparseMatrix& a0 = opt.equilibrate ? scaled : a;
 
   // 1. Row transversal for a zero-free diagonal.
   std::vector<int> rowt(n);
   for (int i = 0; i < n; ++i) rowt[i] = i;
-  SparseMatrix a1 = a0;
+  SparseMatrix transversed;
   if (opt.use_transversal) {
-    a1 = make_zero_free_diagonal(a0, &rowt);
+    transversed = make_zero_free_diagonal(a0, &rowt);
   } else {
     SSTAR_CHECK_MSG(a0.zero_diagonal_count() == 0,
                     "diagonal has zeros and use_transversal is off");
   }
+  const SparseMatrix& a1 = opt.use_transversal ? transversed : a0;
 
   // 2. Fill-reducing ordering, applied symmetrically so the zero-free
   //    diagonal is preserved (the paper orders by minimum degree on AᵀA).
@@ -76,26 +80,20 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
     case SolverOptions::Ordering::kNatural:
       break;
   }
-  setup.permuted = a1.permuted(q, q);
 
   if (opt.ordering != SolverOptions::Ordering::kNatural) {
     // Postorder the elimination tree of AᵀA under the chosen ordering:
     // equivalent fill, but parents immediately follow their children,
     // which is what lets supernodes grow and amalgamation (§3.3) find
-    // its consecutive merge candidates.
-    const Pattern ata = ata_pattern(setup.permuted);
-    const std::vector<int> parent = elimination_tree(ata);
-    const std::vector<int> post = postorder(parent);
-    bool identity = true;
-    for (std::size_t i = 0; i < post.size() && identity; ++i)
-      identity = post[i] == static_cast<int>(i);
-    if (!identity) {
-      setup.permuted = setup.permuted.permuted(post, post);
-      std::vector<int> composed(n);
-      for (int i = 0; i < n; ++i) composed[i] = q[post[i]];
-      q = std::move(composed);
-    }
+    // its consecutive merge candidates. The tree comes from A's columns
+    // in the order q (column_etree), so AᵀA is not formed again, and
+    // q∘post is applied in one permutation.
+    const std::vector<int> post = postorder(column_etree(a1, q));
+    std::vector<int> composed(n);
+    for (int i = 0; i < n; ++i) composed[i] = q[post[i]];
+    q = std::move(composed);
   }
+  setup.permuted = a1.permuted(q, q);
 
   // Composite permutations back to the original numbering.
   setup.row_perm.resize(n);

@@ -1,6 +1,7 @@
 #include "symbolic/static_symbolic.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -16,18 +17,6 @@ std::int64_t StaticStructure::factor_ops() const {
   return ops;
 }
 
-namespace {
-
-/// A group of rows sharing one structure (see header). Dead groups have
-/// been merged into a successor.
-struct RowGroup {
-  std::vector<int> members;  // sorted original row ids, all >= next step
-  std::vector<int> cols;     // sorted column ids, all >= next step
-  bool dead = false;
-};
-
-}  // namespace
-
 StaticStructure static_symbolic_factorization(const SparseMatrix& a) {
   SSTAR_CHECK(a.rows() == a.cols());
   const int n = a.rows();
@@ -38,92 +27,96 @@ StaticStructure static_symbolic_factorization(const SparseMatrix& a) {
   // Row structures of A: build from Aᵀ (columns of Aᵀ are rows of A).
   const SparseMatrix at = a.transpose();
 
-  std::vector<RowGroup> groups;
-  groups.reserve(static_cast<std::size_t>(n) * 2);
-  // registry[j] = ids of groups that had column j in their structure when
-  // they were created (stale entries are skipped via the dead flag).
-  std::vector<std::vector<int>> registry(static_cast<std::size_t>(n));
-
-  for (int i = 0; i < n; ++i) {
-    RowGroup g;
-    g.members = {i};
-    g.cols.assign(at.row_idx().begin() + at.col_begin(i),
-                  at.row_idx().begin() + at.col_end(i));
-    const int id = static_cast<int>(groups.size());
-    for (int c : g.cols) registry[c].push_back(id);
-    groups.push_back(std::move(g));
-  }
-
   StaticStructure s;
   s.n = n;
   s.l_col_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
   s.u_row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  s.l_rows.reserve(static_cast<std::size_t>(a.nnz()));
+  s.u_cols.reserve(static_cast<std::size_t>(a.nnz()));
+
+  // Group g < n is row g of A; group n + k is the group merged at step k.
+  // Each group is queued once, under its smallest column, in the list
+  // head[c] -> next[g] -> ... (see the header).
+  std::vector<int> head(static_cast<std::size_t>(n), -1);
+  std::vector<int> next(static_cast<std::size_t>(2) * n, -1);
+  auto enqueue = [&](int g, int first_col) {
+    next[g] = head[first_col];
+    head[first_col] = g;
+  };
+  for (int i = 0; i < n; ++i) enqueue(i, at.row_idx()[at.col_begin(i)]);
+
+  // Group g's structure and members: row g of A (its own only member;
+  // the span points at the caller's g), or what step g - n emitted.
+  using Span = std::span<const int>;
+  auto cols_of = [&](int g) {
+    if (g < n)
+      return Span(at.row_idx().data() + at.col_begin(g),
+                  at.row_idx().data() + at.col_end(g));
+    const int t = g - n;  // U row t minus its diagonal
+    return Span(s.u_cols.data() + s.u_row_ptr[t] + 1,
+                s.u_cols.data() + s.u_row_ptr[t + 1]);
+  };
+  auto members_of = [&](const int& g) {
+    if (g < n) return Span(&g, 1);
+    const int t = g - n;  // L column t
+    return Span(s.l_rows.data() + s.l_col_ptr[t],
+                s.l_rows.data() + s.l_col_ptr[t + 1]);
+  };
 
   std::vector<int> mark(static_cast<std::size_t>(n), -1);
-  std::vector<int> cand;          // candidate group ids this step
-  std::vector<int> union_cols;    // merged structure
-  std::vector<int> union_members; // merged member rows
+  std::vector<int> extra_cols, extra_members;  // outside the base group
+  std::vector<int> union_cols, union_members;  // the merged group
 
   for (int k = 0; k < n; ++k) {
-    // Gather candidate groups: live groups registered under column k.
-    cand.clear();
-    for (int id : registry[k]) {
-      if (!groups[id].dead) cand.push_back(id);
-    }
-    registry[k].clear();
-    registry[k].shrink_to_fit();
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    SSTAR_CHECK_MSG(!cand.empty(), "no candidate rows at step " << k
-                                       << " (diagonal lost?)");
-
-    // Union the structures (columns >= k) and collect members.
-    union_cols.clear();
-    union_members.clear();
-    for (int id : cand) {
-      RowGroup& g = groups[id];
-      for (int c : g.cols) {
+    SSTAR_CHECK_MSG(head[k] != -1, "no candidate rows at step "
+                                       << k << " (diagonal lost?)");
+    // The union is sorted by merging the candidate with the largest
+    // structure (already sorted) with everything the others add, sorted
+    // on its own; that remainder is usually small.
+    int base = head[k];
+    for (int g = next[base]; g != -1; g = next[g])
+      if (cols_of(g).size() > cols_of(base).size()) base = g;
+    const Span bc = cols_of(base), bm = members_of(base);
+    for (int c : bc) mark[c] = k;
+    extra_cols.clear();
+    extra_members.clear();
+    for (int g = head[k]; g != -1; g = next[g]) {
+      if (g == base) continue;
+      const Span gc = cols_of(g), gm = members_of(g);
+      for (int c : gc) {
         SSTAR_DCHECK(c >= k);
         if (mark[c] != k) {
           mark[c] = k;
-          union_cols.push_back(c);
+          extra_cols.push_back(c);
         }
       }
-      union_members.insert(union_members.end(), g.members.begin(),
-                           g.members.end());
+      extra_members.insert(extra_members.end(), gm.begin(), gm.end());
     }
-    std::sort(union_cols.begin(), union_cols.end());
-    std::sort(union_members.begin(), union_members.end());
-    SSTAR_CHECK_MSG(!union_members.empty() && union_members.front() == k,
+    std::sort(extra_cols.begin(), extra_cols.end());
+    std::sort(extra_members.begin(), extra_members.end());
+    union_cols.resize(bc.size() + extra_cols.size());
+    std::merge(bc.begin(), bc.end(), extra_cols.begin(), extra_cols.end(),
+               union_cols.begin());
+    union_members.resize(bm.size() + extra_members.size());
+    std::merge(bm.begin(), bm.end(), extra_members.begin(), extra_members.end(),
+               union_members.begin());
+    SSTAR_CHECK_MSG(union_members.front() == k,
                     "row " << k << " is not a candidate at its own step");
     SSTAR_CHECK(union_cols.front() == k);
 
-    // Emit U row k = the union (diagonal first).
+    // Emit U row k = the union (diagonal first) and L column k = the
+    // candidate rows below the diagonal: together, the merged group.
     s.u_cols.insert(s.u_cols.end(), union_cols.begin(), union_cols.end());
     s.u_row_ptr[k + 1] =
         s.u_row_ptr[k] + static_cast<std::int64_t>(union_cols.size());
-
-    // Emit L column k = candidate rows below the diagonal.
     s.l_rows.insert(s.l_rows.end(), union_members.begin() + 1,
                     union_members.end());
     s.l_col_ptr[k + 1] =
         s.l_col_ptr[k] + static_cast<std::int64_t>(union_members.size()) - 1;
-
-    // Retire row k, kill the old groups, and form the merged group.
-    for (int id : cand) {
-      groups[id].dead = true;
-      groups[id].members.clear();
-      groups[id].members.shrink_to_fit();
-      groups[id].cols.clear();
-      groups[id].cols.shrink_to_fit();
-    }
     if (union_members.size() > 1) {
-      RowGroup g;
-      g.members.assign(union_members.begin() + 1, union_members.end());
-      g.cols.assign(union_cols.begin() + 1, union_cols.end());
-      const int id = static_cast<int>(groups.size());
-      for (int c : g.cols) registry[c].push_back(id);
-      groups.push_back(std::move(g));
+      // Every member row i > k keeps its diagonal i in the structure.
+      SSTAR_CHECK(union_cols.size() > 1);
+      enqueue(n + k, union_cols[1]);
     }
   }
   return s;

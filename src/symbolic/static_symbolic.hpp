@@ -11,10 +11,15 @@
 // Implementation note. The textbook formulation is quadratic. We exploit
 // the algorithm's own invariant — after step k all candidate rows share
 // one structure — by keeping rows in *groups* with a single shared
-// structure. At step k the candidate groups are exactly the live groups
-// registered under column k; they merge into one new group in a single
-// sorted union. Each column of the output is emitted exactly once, so the
-// total cost is O((|L| + |U|) log n)-ish rather than O(n^2).
+// structure. A live group at step k holds no column below k, so it is a
+// candidate exactly when its smallest column is k: each group is queued
+// once, under that column, in a flat head[]/next[] list. At step k the
+// queued groups merge into one: the largest structure, already sorted,
+// is merged with the others' new columns, sorted apart (usually few).
+// The merged group is exactly what step k emits (U row k minus its
+// diagonal, L column k), so it is read back from the output rather than
+// stored. Each group's structure is read once, when it merges:
+// O(nnz(A) + |L| + |U|) reads plus the sorts of the small remainders.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "matrix/hb_io.hpp"
 #include "util/check.hpp"
@@ -132,6 +133,47 @@ TEST(HarwellBoeing, RejectsTruncatedData) {
   s = s.substr(0, s.rfind("  5.000"));  // drop the last value line
   std::istringstream in(s);
   EXPECT_THROW(read_harwell_boeing(in), CheckError);
+}
+
+// A pattern (PUA) file whose header declares `dims` ("NROW NCOL NNZ")
+// followed by the given data cards.
+std::string pua_with(const std::string& dims, const std::string& data) {
+  return "Header-driven allocation probe\n"
+         "             3             1             1             0"
+         "             0\n"
+         "PUA           " + dims + " 0\n"
+         "(2I11)          (8I11)\n" + data;
+}
+
+std::string hb_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_harwell_boeing(in);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(HarwellBoeing, RejectsOversizeHeaders) {
+  EXPECT_NE(hb_error(pua_with("3000000000 1 1", "")).find(
+                "HB dimensions exceed INT_MAX or the matrix size: "
+                "3000000000 x 1, 1 entries"),
+            std::string::npos);
+  EXPECT_NE(hb_error(pua_with("2 2 5", "")).find(
+                "HB dimensions exceed INT_MAX or the matrix size: 2 x 2, "
+                "5 entries"),
+            std::string::npos);
+}
+
+TEST(HarwellBoeing, HugeDeclaredCountFailsOnMissingData) {
+  // Consistent pointers for 2e9 entries but one row index: the capped
+  // reservation lets the reader reach the truncation.
+  EXPECT_NE(hb_error(pua_with("2000000000 1 2000000000",
+                              "          1 2000000001\n"
+                              "          1\n"))
+                .find("truncated HB data section (1/2000000000 fields)"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -176,7 +176,9 @@ TEST(MpTransportMatrix, TracedProcRunPassesValidatorUnderHierarchicalModel) {
     for (std::size_t i = 0; i < evs.size(); ++i) {
       EXPECT_GE(evs[i]->t0, 0.0);
       EXPECT_GE(evs[i]->t1, evs[i]->t0);
-      if (i > 0) EXPECT_GE(evs[i]->t0, evs[i - 1]->t1);
+      if (i > 0) {
+        EXPECT_GE(evs[i]->t0, evs[i - 1]->t1);
+      }
     }
   }
 

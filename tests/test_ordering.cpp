@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "matrix/pattern_ops.hpp"
+#include "matrix/suite.hpp"
 #include "ordering/etree.hpp"
 #include "ordering/min_degree.hpp"
 #include "ordering/rcm.hpp"
@@ -13,9 +15,40 @@
 #include "symbolic/cholesky_symbolic.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sstar {
 namespace {
+
+// A random pattern with nothing assumed: any shape, empty rows and
+// columns, no diagonal.
+SparseMatrix random_pattern(int rows, int cols, int per_col,
+                            std::uint64_t seed) {
+  Rng rng(testing::test_seed(seed));
+  std::vector<Triplet> t;
+  for (int j = 0; j < cols; ++j)
+    for (int e = 0; e < per_col; ++e)
+      t.push_back({rng.uniform_int(0, rows - 1), j, 1.0});
+  return SparseMatrix::from_triplets(rows, cols, std::move(t));
+}
+
+// Tridiagonal n x n plus a dense row (or column) at index d.
+SparseMatrix tridiagonal_plus_dense(int n, int d, bool dense_row) {
+  std::vector<Triplet> t;
+  for (int i = 0; i < n; ++i) {
+    t.push_back({i, i, 4.0});
+    if (i + 1 < n) {
+      t.push_back({i + 1, i, -1.0});
+      t.push_back({i, i + 1, -1.0});
+    }
+    t.push_back(dense_row ? Triplet{d, i, 0.5} : Triplet{i, d, 0.5});
+  }
+  return SparseMatrix::from_triplets(n, n, std::move(t));
+}
+
+std::vector<int> ata_etree(const SparseMatrix& a) {
+  return elimination_tree(ata_pattern(a));
+}
 
 TEST(PatternOps, AtaMatchesDense) {
   const auto a = testing::random_sparse(20, 3, 17);
@@ -178,6 +211,68 @@ TEST(Etree, CholeskyCountsMatchDenseSimulation) {
     for (int i = j; i < n; ++i) want += f[i][j];
     EXPECT_EQ(counts[j], want) << "column " << j;
   }
+}
+
+TEST(ColumnEtree, MatchesEtreeOfAtaOnRandomMatrices) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    const auto a = testing::random_sparse(50 + 7 * static_cast<int>(seed),
+                                          1 + static_cast<int>(seed % 4),
+                                          900 + seed);
+    EXPECT_EQ(column_etree(a), ata_etree(a)) << "seed " << seed;
+    const auto b = random_pattern(40, 40, static_cast<int>(seed % 3),
+                                  1000 + seed);
+    EXPECT_EQ(column_etree(b), ata_etree(b)) << "seed " << seed;
+    const auto wide = random_pattern(25, 40, 2, 1100 + seed);
+    EXPECT_EQ(column_etree(wide), ata_etree(wide)) << "seed " << seed;
+    const auto tall = random_pattern(60, 40, 2, 1200 + seed);
+    EXPECT_EQ(column_etree(tall), ata_etree(tall)) << "seed " << seed;
+  }
+}
+
+TEST(ColumnEtree, MatchesWithDenseRowOrDenseColumn) {
+  for (const bool dense_row : {true, false}) {
+    for (const int d : {0, 37, 199}) {
+      const auto a = tridiagonal_plus_dense(200, d, dense_row);
+      EXPECT_EQ(column_etree(a), ata_etree(a))
+          << (dense_row ? "dense row " : "dense column ") << d;
+    }
+  }
+}
+
+TEST(ColumnEtree, MatchesAtOrdersZeroOneTwo) {
+  EXPECT_TRUE(column_etree(SparseMatrix::from_triplets(0, 0, {})).empty());
+  EXPECT_EQ(column_etree(SparseMatrix::from_triplets(1, 1, {})),
+            std::vector<int>{-1});
+  EXPECT_EQ(column_etree(SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}})),
+            std::vector<int>{-1});
+  // Every 2 x 2 pattern.
+  for (int mask = 0; mask < 16; ++mask) {
+    std::vector<Triplet> t;
+    for (int b = 0; b < 4; ++b)
+      if (mask & (1 << b)) t.push_back({b % 2, b / 2, 1.0});
+    const auto a = SparseMatrix::from_triplets(2, 2, std::move(t));
+    EXPECT_EQ(column_etree(a), ata_etree(a)) << "mask " << mask;
+  }
+}
+
+TEST(ColumnEtree, MatchesOnSmallSuiteReplicas) {
+  for (const std::string& name : gen::small_set()) {
+    const auto a = gen::suite_entry(name).generate(1.0, 1);
+    EXPECT_EQ(column_etree(a), ata_etree(a)) << name;
+  }
+}
+
+TEST(ColumnEtree, ColumnOrderEqualsPermutedMatrix) {
+  const auto a = testing::random_sparse(70, 3, 1300);
+  std::vector<int> q(70);
+  std::iota(q.begin(), q.end(), 0);
+  Rng rng(testing::test_seed(1301));
+  for (int i = 69; i > 0; --i) std::swap(q[i], q[rng.uniform_int(0, i)]);
+  // Rows never matter: A(:, q) and A(q, q) have the same column etree.
+  EXPECT_EQ(column_etree(a, q), column_etree(a.permuted({}, q)));
+  EXPECT_EQ(column_etree(a, q), ata_etree(a.permuted(q, q)));
+  q[1] = q[0];
+  EXPECT_THROW(column_etree(a, q), CheckError);
 }
 
 TEST(CholeskyBound, AtLeastMatrixSize) {

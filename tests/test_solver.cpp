@@ -2,10 +2,20 @@
 // options and the generated benchmark suite.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "matrix/generators.hpp"
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
+#include "ordering/etree.hpp"
+#include "ordering/min_degree.hpp"
+#include "ordering/nested_dissection.hpp"
+#include "ordering/rcm.hpp"
+#include "ordering/transversal.hpp"
 #include "solve/solver.hpp"
+#include "supernode/partition.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -84,6 +94,132 @@ TEST(Solver, AmalgamationGrowsBlocksAndKeepsCorrectness) {
   const auto s6 = prepare(a, r6);
   EXPECT_LE(s6.layout->num_blocks(), s0.layout->num_blocks());
   expect_solves(a, r6, 1e-6);
+}
+
+// prepare() as it was built from public calls before the column etree:
+// AᵀA formed once for the ordering and again, after permuting, for the
+// postorder's elimination tree, and the postorder applied as a second
+// permutation. Equilibration off (the default).
+struct ReferenceSetup {
+  SparseMatrix permuted;
+  std::vector<int> row_perm, col_perm;
+  StaticStructure structure;
+  std::vector<int> starts;
+};
+
+ReferenceSetup two_ata_prepare(const SparseMatrix& a,
+                               const SolverOptions& opt) {
+  const int n = a.rows();
+  std::vector<int> rowt;
+  const SparseMatrix a1 = make_zero_free_diagonal(a, &rowt);
+  std::vector<int> q;
+  switch (opt.ordering) {
+    case SolverOptions::Ordering::kMinDegreeAtA:
+      q = min_degree_order(ata_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kNestedDissection:
+      q = nested_dissection_order(ata_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kRcm:
+      q = rcm_order(aplusat_pattern(a1));
+      break;
+    case SolverOptions::Ordering::kNatural:
+      ADD_FAILURE() << "reference covers the fill-reducing orderings";
+      break;
+  }
+  ReferenceSetup r;
+  r.permuted = a1.permuted(q, q);
+  const std::vector<int> post =
+      postorder(elimination_tree(ata_pattern(r.permuted)));
+  r.permuted = r.permuted.permuted(post, post);
+  for (int i = 0; i < n; ++i) {
+    r.col_perm.push_back(q[post[i]]);
+    r.row_perm.push_back(rowt[r.col_perm.back()]);
+  }
+  r.structure = static_symbolic_factorization(r.permuted);
+  r.starts = amalgamate(r.structure,
+                        find_supernodes(r.structure, opt.max_block),
+                        opt.amalgamation, opt.max_block)
+                 .start;
+  return r;
+}
+
+TEST(Solver, PrepareMatchesTwoAtaReference) {
+  std::vector<std::pair<std::string, SparseMatrix>> inputs;
+  for (std::uint64_t seed = 0; seed < 3; ++seed)
+    inputs.emplace_back("random seed " + std::to_string(seed),
+                        testing::random_sparse(150, 3, 2200 + seed));
+  {
+    // Needs the transversal: a cyclic shift plus noise.
+    const int n = 60;
+    std::vector<Triplet> t;
+    Rng rng(2210);
+    for (int j = 0; j < n; ++j) {
+      t.push_back({(j + 1) % n, j, 3.0 + rng.uniform()});
+      t.push_back({(j + 11) % n, j, rng.uniform(-1.0, 1.0)});
+    }
+    inputs.emplace_back("shifted",
+                        SparseMatrix::from_triplets(n, n, std::move(t)));
+  }
+  {
+    const int n = 300;
+    std::vector<Triplet> t;
+    for (int i = 0; i < n; ++i) {
+      t.push_back({i, i, 4.0});
+      if (i + 1 < n) t.push_back({i + 1, i, -1.0});
+      if (i + 1 < n) t.push_back({i, i + 1, -1.0});
+      if (i != 123) t.push_back({123, i, 0.25});
+    }
+    inputs.emplace_back("dense row",
+                        SparseMatrix::from_triplets(n, n, std::move(t)));
+  }
+  for (const char* name : {"sherman5", "orsreg1", "jpwh991"})
+    inputs.emplace_back(name, gen::suite_entry(name).generate(0.2, 1));
+
+  for (const auto ord : {SolverOptions::Ordering::kMinDegreeAtA,
+                         SolverOptions::Ordering::kNestedDissection,
+                         SolverOptions::Ordering::kRcm}) {
+    SolverOptions opt;
+    opt.ordering = ord;
+    for (const auto& [what, a] : inputs) {
+      SCOPED_TRACE(what + ", ordering " +
+                   std::to_string(static_cast<int>(ord)));
+      const SolverSetup got = prepare(a, opt);
+      const ReferenceSetup want = two_ata_prepare(a, opt);
+      EXPECT_EQ(got.row_perm, want.row_perm);
+      EXPECT_EQ(got.col_perm, want.col_perm);
+      EXPECT_EQ(got.permuted.col_ptr(), want.permuted.col_ptr());
+      EXPECT_EQ(got.permuted.row_idx(), want.permuted.row_idx());
+      EXPECT_EQ(got.permuted.values(), want.permuted.values());
+      EXPECT_EQ(got.structure.l_col_ptr, want.structure.l_col_ptr);
+      EXPECT_EQ(got.structure.l_rows, want.structure.l_rows);
+      EXPECT_EQ(got.structure.u_row_ptr, want.structure.u_row_ptr);
+      EXPECT_EQ(got.structure.u_cols, want.structure.u_cols);
+      EXPECT_EQ(got.layout->partition().start, want.starts);
+    }
+  }
+}
+
+TEST(Solver, EquilibratedPrepareScalesTheSameAnalysis) {
+  const auto a = gen::suite_entry("sherman5").generate(0.2, 1);
+  SolverOptions eq;
+  eq.equilibrate = true;
+  const SolverSetup plain = prepare(a, SolverOptions{});
+  const SolverSetup scaled = prepare(a, eq);
+  EXPECT_EQ(scaled.row_perm, plain.row_perm);
+  EXPECT_EQ(scaled.col_perm, plain.col_perm);
+  EXPECT_EQ(scaled.structure.u_cols, plain.structure.u_cols);
+  EXPECT_EQ(scaled.structure.l_rows, plain.structure.l_rows);
+  ASSERT_TRUE(scaled.permuted.same_pattern(plain.permuted));
+  const SparseMatrix& p = scaled.permuted;
+  for (int j = 0; j < p.cols(); ++j) {
+    const int oj = scaled.col_perm[j];
+    for (int k = p.col_begin(j); k < p.col_end(j); ++k) {
+      const int oi = scaled.row_perm[p.row_idx()[k]];
+      EXPECT_EQ(p.values()[k],
+                a.at(oi, oj) * (scaled.row_scale[oi] * scaled.col_scale[oj]));
+    }
+  }
 }
 
 class SuiteSmoke : public ::testing::TestWithParam<const char*> {};

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "matrix/io.hpp"
 #include "matrix/sparse.hpp"
@@ -124,6 +125,52 @@ TEST(MatrixMarket, RejectsGarbage) {
   std::stringstream c(
       "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 3.0\n");
   EXPECT_THROW(io::read_matrix_market(c), CheckError);
+}
+
+std::string read_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    io::read_matrix_market(ss);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(MatrixMarket, RejectsOversizeHeadersBeforeAllocating) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  EXPECT_NE(read_error(banner + "3000000000 2 1\n1 1 1.0\n")
+                .find("Matrix Market size 3000000000 x 2 exceeds INT_MAX"),
+            std::string::npos);
+  // Three lines declaring 4e9 entries: rejected, not a 64 GB reserve.
+  EXPECT_NE(read_error(banner + "100000 100000 4000000000\n1 1 1.0\n")
+                .find("Matrix Market entry count 4000000000 exceeds "
+                      "2147483647 for a 100000 x 100000 matrix"),
+            std::string::npos);
+  EXPECT_NE(read_error(banner + "2 2 5\n1 1 1.0\n")
+                .find("Matrix Market entry count 5 exceeds 4 for a 2 x 2 "
+                      "matrix"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, ReportsTruncatedStreamWithEntryNumber) {
+  const std::string banner = "%%MatrixMarket matrix coordinate real general\n";
+  // A plausible but huge declared count: the reservation is capped, so
+  // the missing data, not the allocation, is what fails.
+  EXPECT_NE(read_error(banner + "100000 100000 2000000000\n1 1 1.0\n")
+                .find("truncated Matrix Market stream: entry 2 of "
+                      "2000000000 is missing or malformed"),
+            std::string::npos);
+  EXPECT_NE(read_error(banner + "3 3 3\n1 1 1.0\n2 2\n")
+                .find("truncated Matrix Market stream: entry 2 of 3 is "
+                      "missing or malformed"),
+            std::string::npos);
+  EXPECT_NE(read_error(banner + "3 3 2\n1 1 1.0\n2 x 1.0\n")
+                .find("entry 2 of 2 is missing or malformed"),
+            std::string::npos);
+  // The last entry may end the stream without a newline.
+  std::stringstream ok(banner + "2 2 2\n1 1 1.0\n2 2 3.0");
+  EXPECT_EQ(io::read_matrix_market(ok).nnz(), 2);
 }
 
 TEST(FactorizationResidual, ZeroForExactFactors) {

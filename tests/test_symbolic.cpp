@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "matrix/pattern_ops.hpp"
 #include "ordering/transversal.hpp"
@@ -58,16 +59,44 @@ SparseMatrix small_dense_matrix() {
   return SparseMatrix::from_triplets(n, n, std::move(t));
 }
 
+void expect_matches_naive(const SparseMatrix& a, const std::string& what) {
+  const auto fast = static_symbolic_factorization(a);
+  const auto ref = naive_static_symbolic(a);
+  EXPECT_EQ(fast.l_col_ptr, ref.l_col_ptr) << what;
+  EXPECT_EQ(fast.l_rows, ref.l_rows) << what;
+  EXPECT_EQ(fast.u_row_ptr, ref.u_row_ptr) << what;
+  EXPECT_EQ(fast.u_cols, ref.u_cols) << what;
+}
+
+// Diagonal n x n plus a dense row (or column) at index d.
+SparseMatrix diagonal_plus_dense(int n, int d, bool dense_row) {
+  std::vector<Triplet> t;
+  for (int i = 0; i < n; ++i) {
+    t.push_back({i, i, 2.0});
+    if (i != d)
+      t.push_back(dense_row ? Triplet{d, i, 1.0} : Triplet{i, d, 1.0});
+  }
+  return SparseMatrix::from_triplets(n, n, std::move(t));
+}
+
 TEST(StaticSymbolic, MatchesNaiveReference) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     auto a = testing::random_sparse(30, 3, 500 + seed);
     a = make_zero_free_diagonal(a);
-    const auto fast = static_symbolic_factorization(a);
-    const auto ref = naive_static_symbolic(a);
-    EXPECT_EQ(fast.l_col_ptr, ref.l_col_ptr) << "seed " << seed;
-    EXPECT_EQ(fast.l_rows, ref.l_rows) << "seed " << seed;
-    EXPECT_EQ(fast.u_row_ptr, ref.u_row_ptr) << "seed " << seed;
-    EXPECT_EQ(fast.u_cols, ref.u_cols) << "seed " << seed;
+    expect_matches_naive(a, "seed " + std::to_string(seed));
+  }
+  expect_matches_naive(SparseMatrix::from_triplets(1, 1, {{0, 0, 1.0}}),
+                       "n = 1");
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    const auto a = make_zero_free_diagonal(
+        testing::random_sparse(60, 2, 520 + seed));
+    expect_matches_naive(a, "n = 60, seed " + std::to_string(seed));
+  }
+  for (const int d : {0, 17, 39}) {
+    expect_matches_naive(diagonal_plus_dense(40, d, true),
+                         "dense row " + std::to_string(d));
+    expect_matches_naive(diagonal_plus_dense(40, d, false),
+                         "dense column " + std::to_string(d));
   }
 }
 

@@ -129,7 +129,9 @@ TEST(TransportFault, WatchdogTimeoutPinnedOnBothTransports) {
         << what;
     EXPECT_NE(what.find("rank 1: running"), std::string::npos) << what;
   }
-  if (whats.size() == 2) EXPECT_EQ(whats[0], whats[1]);
+  if (whats.size() == 2) {
+    EXPECT_EQ(whats[0], whats[1]);
+  }
 }
 
 #if defined(__linux__)
