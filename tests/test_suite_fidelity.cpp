@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "matrix/pattern_ops.hpp"
 #include "matrix/suite.hpp"
@@ -18,6 +19,11 @@ struct Expectation {
   double sym_hi;
   double density_tol;  // relative nnz/row tolerance vs paper at scale 1
 };
+
+// Print a case as its matrix name. The default printer dumps the struct's
+// bytes, name pointer included, so the value shown (and the test name CTest
+// derives from it) would change with address-space randomization.
+void PrintTo(const Expectation& e, std::ostream* os) { *os << e.name; }
 
 class SuiteFidelity : public ::testing::TestWithParam<Expectation> {};
 
