@@ -12,59 +12,13 @@ namespace sstar::analysis {
 
 namespace {
 
-// The plan flattened per rank: every CommOp and every kernel call, in
-// the exact order exec/lu_mp executes them (program order over tasks;
-// pre_comms, kernels, post_comms within a task). Kernel entries carry
-// no CommOpSite index — they only gate the coverage walk.
-struct FlatOp {
-  enum class What { kSend, kRecv, kFactor, kConsume };
-  What what = What::kSend;
-  CommOpSite site;   // comm ops: full site; kernels: rank/task only
-  int panel = -1;    // comm ops: op.k; kernels: the panel touched
-  int seq = 0;       // position within the rank's flattened sequence
-};
+bool is_comm(const sim::PanelEvent& e) {
+  return e.kind == sim::PanelEvent::Kind::kSend ||
+         e.kind == sim::PanelEvent::Kind::kRecv;
+}
 
-struct FlatProgram {
-  std::vector<std::vector<FlatOp>> per_rank;  // indexed by rank
-  std::int64_t sends = 0;
-  std::int64_t recvs = 0;
-};
-
-FlatProgram flatten(const sim::ParallelProgram& prog) {
-  FlatProgram flat;
-  flat.per_rank.resize(static_cast<std::size_t>(prog.processors()));
-  for (int p = 0; p < prog.processors(); ++p) {
-    std::vector<FlatOp>& ops = flat.per_rank[static_cast<std::size_t>(p)];
-    for (const sim::TaskId t : prog.proc_order(p)) {
-      const sim::TaskDef& def = prog.task(t);
-      const auto push_comm = [&](const sim::CommOp& op, bool pre, int idx) {
-        FlatOp f;
-        f.what = op.kind == sim::CommOp::Kind::kSend ? FlatOp::What::kSend
-                                                     : FlatOp::What::kRecv;
-        f.site = CommOpSite{p, t, pre, idx, op};
-        f.panel = op.k;
-        f.seq = static_cast<int>(ops.size());
-        (f.what == FlatOp::What::kSend ? flat.sends : flat.recvs)++;
-        ops.push_back(f);
-      };
-      for (int i = 0; i < static_cast<int>(def.pre_comms.size()); ++i)
-        push_comm(def.pre_comms[static_cast<std::size_t>(i)], true, i);
-      for (const sim::KernelCall& kc : def.kernels) {
-        FlatOp f;
-        f.what = kc.kind == sim::KernelCall::Kind::kFactor
-                     ? FlatOp::What::kFactor
-                     : FlatOp::What::kConsume;
-        f.site.rank = p;
-        f.site.task = t;
-        f.panel = kc.k;
-        f.seq = static_cast<int>(ops.size());
-        ops.push_back(f);
-      }
-      for (int i = 0; i < static_cast<int>(def.post_comms.size()); ++i)
-        push_comm(def.post_comms[static_cast<std::size_t>(i)], false, i);
-    }
-  }
-  return flat;
+CommOpSite site_of(const sim::PanelEvent& e) {
+  return CommOpSite{e.rank, e.task, e.pre, e.index, e.op};
 }
 
 std::string op_text(const sim::CommOp& op) {
@@ -167,32 +121,25 @@ CommAuditReport audit_comm_plan(
   report.ranks = prog.processors();
   report.panels = layout.num_blocks();
 
-  const FlatProgram flat = flatten(prog);
-  report.sends = flat.sends;
-  report.recvs = flat.recvs;
-  const std::vector<int> owner = sim::panel_owners(prog);
-  const auto owner_of = [&](int k) {
-    return k >= 0 && k < static_cast<int>(owner.size())
-               ? owner[static_cast<std::size_t>(k)]
-               : -1;
-  };
+  const sim::PanelTimeline tl = sim::panel_timeline(prog, consumer_counts);
 
   // --- property 1: match soundness --------------------------------------
   // Group ops by channel (src, dst, tag). FIFO per channel pairs the
   // i-th send with the i-th recv — the transport's delivery guarantee —
   // so position i of both lists must exist and agree on wire size.
-  std::map<std::tuple<int, int, int>,
-           std::pair<std::vector<const FlatOp*>, std::vector<const FlatOp*>>>
+  using EventList = std::vector<const sim::PanelEvent*>;
+  std::map<std::tuple<int, int, int>, std::pair<EventList, EventList>>
       channels;
-  for (const std::vector<FlatOp>& ops : flat.per_rank) {
-    for (const FlatOp& f : ops) {
-      if (f.what != FlatOp::What::kSend && f.what != FlatOp::What::kRecv)
-        continue;
-      const sim::CommOp& op = f.site.op;
-      if (op.peer == f.site.rank) {
+  for (const std::vector<sim::PanelEvent>& events : tl.per_rank) {
+    for (const sim::PanelEvent& e : events) {
+      if (!is_comm(e)) continue;
+      const bool send = e.kind == sim::PanelEvent::Kind::kSend;
+      (send ? report.sends : report.recvs)++;
+      const sim::CommOp& op = e.op;
+      if (op.peer == e.rank) {
         CommAuditIssue issue;
         issue.kind = CommAuditIssue::Kind::kSelfMessage;
-        issue.site = f.site;
+        issue.site = site_of(e);
         issue.panel = op.k;
         report.issues.push_back(issue);
         continue;  // a self-message belongs to no channel
@@ -201,15 +148,15 @@ CommAuditReport audit_comm_plan(
           wire_bytes(layout, op.k) < 0) {
         CommAuditIssue issue;
         issue.kind = CommAuditIssue::Kind::kBadPanel;
-        issue.site = f.site;
+        issue.site = site_of(e);
         issue.panel = op.k;
         report.issues.push_back(issue);
         continue;
       }
-      if (f.what == FlatOp::What::kSend)
-        channels[{f.site.rank, op.peer, op.k}].first.push_back(&f);
+      if (send)
+        channels[{e.rank, op.peer, op.k}].first.push_back(&e);
       else
-        channels[{op.peer, f.site.rank, op.k}].second.push_back(&f);
+        channels[{op.peer, e.rank, op.k}].second.push_back(&e);
     }
   }
   for (const auto& [key, lists] : channels) {
@@ -220,78 +167,58 @@ CommAuditReport audit_comm_plan(
       // One layout serves both endpoints today, so the sizes agree by
       // construction; the check is the seam where per-rank layouts of a
       // real distributed build would diverge.
-      const std::int64_t sent = wire_bytes(layout, sends[i]->site.op.k);
-      const std::int64_t want = wire_bytes(layout, recvs[i]->site.op.k);
+      const std::int64_t sent = wire_bytes(layout, sends[i]->op.k);
+      const std::int64_t want = wire_bytes(layout, recvs[i]->op.k);
       report.bytes_planned += sent;
       if (sent != want) {
         CommAuditIssue issue;
         issue.kind = CommAuditIssue::Kind::kSizeMismatch;
-        issue.site = recvs[i]->site;
-        issue.panel = recvs[i]->site.op.k;
+        issue.site = site_of(*recvs[i]);
+        issue.panel = recvs[i]->op.k;
         issue.expected = static_cast<int>(sent);
         issue.actual = static_cast<int>(want);
         report.issues.push_back(issue);
       }
     }
     for (std::size_t i = paired; i < sends.size(); ++i) {
-      report.bytes_planned += wire_bytes(layout, sends[i]->site.op.k);
+      report.bytes_planned += wire_bytes(layout, sends[i]->op.k);
       CommAuditIssue issue;
       issue.kind = CommAuditIssue::Kind::kOrphanSend;
-      issue.site = sends[i]->site;
+      issue.site = site_of(*sends[i]);
       issue.panel = std::get<2>(key);
       report.issues.push_back(issue);
     }
     for (std::size_t i = paired; i < recvs.size(); ++i) {
       CommAuditIssue issue;
       issue.kind = CommAuditIssue::Kind::kOrphanRecv;
-      issue.site = recvs[i]->site;
+      issue.site = site_of(*recvs[i]);
       issue.panel = std::get<2>(key);
       report.issues.push_back(issue);
     }
   }
 
   // --- property 2: coverage ---------------------------------------------
-  // Replay each rank's program with a held-panel set: Factor(k) and
-  // recv(k) add k; every remote-panel consume and every send must find
-  // its panel held. This covers the owner's fan-out (held via Factor)
-  // and the 2D row leader's forwarding hop (held via the recv the
-  // forward rides behind) in one rule.
-  for (const std::vector<FlatOp>& ops : flat.per_rank) {
-    std::vector<char> held(static_cast<std::size_t>(report.panels), 0);
-    const auto holds = [&](int k) {
-      return k >= 0 && k < report.panels && held[static_cast<std::size_t>(k)];
-    };
-    for (const FlatOp& f : ops) {
-      switch (f.what) {
-        case FlatOp::What::kFactor:
-          if (f.panel >= 0 && f.panel < report.panels)
-            held[static_cast<std::size_t>(f.panel)] = 1;
-          break;
-        case FlatOp::What::kRecv:
-          if (f.panel >= 0 && f.panel < report.panels)
-            held[static_cast<std::size_t>(f.panel)] = 1;
-          break;
-        case FlatOp::What::kSend:
-          if (!holds(f.panel)) {
-            CommAuditIssue issue;
-            issue.kind = CommAuditIssue::Kind::kSendWithoutPanel;
-            issue.site = f.site;
-            issue.panel = f.panel;
-            report.issues.push_back(issue);
-          }
-          break;
-        case FlatOp::What::kConsume:
-          if (owner_of(f.panel) == f.site.rank) break;  // owned storage
-          report.reads_checked++;
-          if (!holds(f.panel)) {
-            CommAuditIssue issue;
-            issue.kind = CommAuditIssue::Kind::kUncoveredRead;
-            issue.site = f.site;
-            issue.panel = f.panel;
-            report.issues.push_back(issue);
-          }
-          break;
-      }
+  // A panel is held from the rank's Factor or recv of it on (a later
+  // release is the lifetime audit's concern). Every remote-panel consume
+  // and every send must find its panel held: one rule covers the owner's
+  // fan-out (held via Factor) and the 2D row leader's forwarding hop
+  // (held via the recv the forward rides behind).
+  for (const std::vector<sim::PanelEvent>& events : tl.per_rank) {
+    for (const sim::PanelEvent& e : events) {
+      if (e.kind == sim::PanelEvent::Kind::kConsume)
+        report.reads_checked++;
+      else if (e.kind != sim::PanelEvent::Kind::kSend)
+        continue;
+      if (e.panel >= 0 && e.panel < report.panels &&
+          e.seen != sim::Residency::kNever)
+        continue;
+      CommAuditIssue issue;
+      issue.kind = e.kind == sim::PanelEvent::Kind::kSend
+                       ? CommAuditIssue::Kind::kSendWithoutPanel
+                       : CommAuditIssue::Kind::kUncoveredRead;
+      issue.site = site_of(e);
+      issue.panel = e.panel;
+      report.issues.push_back(issue);
     }
   }
 
@@ -303,16 +230,15 @@ CommAuditReport audit_comm_plan(
   // FIFO-paired recv. The plan is deadlock-free iff this graph is
   // well-founded; a cycle is the counterexample schedule in which every
   // involved rank waits on the next.
-  std::vector<const FlatOp*> nodes;
+  EventList nodes;
   std::vector<std::vector<int>> node_of_rank(
       static_cast<std::size_t>(prog.processors()));
   for (int p = 0; p < prog.processors(); ++p) {
-    for (const FlatOp& f : flat.per_rank[static_cast<std::size_t>(p)]) {
-      if (f.what != FlatOp::What::kSend && f.what != FlatOp::What::kRecv)
-        continue;
+    for (const sim::PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)]) {
+      if (!is_comm(e)) continue;
       node_of_rank[static_cast<std::size_t>(p)].push_back(
           static_cast<int>(nodes.size()));
-      nodes.push_back(&f);
+      nodes.push_back(&e);
     }
   }
   std::vector<std::vector<int>> succ(nodes.size());
@@ -326,9 +252,9 @@ CommAuditReport audit_comm_plan(
       add_edge(seq[i - 1], seq[i]);
   {
     // FIFO-paired match edges, reusing the channel grouping above. The
-    // per-channel lists are in program order already (flatten() walks
+    // per-channel lists are in program order already (the timeline walks
     // each rank front to back).
-    std::map<const FlatOp*, int> node_id;
+    std::map<const sim::PanelEvent*, int> node_id;
     for (int i = 0; i < static_cast<int>(nodes.size()); ++i)
       node_id[nodes[static_cast<std::size_t>(i)]] = i;
     for (const auto& [key, lists] : channels) {
@@ -399,40 +325,29 @@ CommAuditReport audit_comm_plan(
                  static_cast<std::size_t>(seen[static_cast<std::size_t>(u)]);
              i < path.size(); ++i)
           report.deadlock_cycle.push_back(
-              nodes[static_cast<std::size_t>(path[i])]->site.describe());
+              site_of(*nodes[static_cast<std::size_t>(path[i])]).describe());
     }
   }
 
   // --- property 4: release safety ---------------------------------------
   // The refcount DistBlockStore frees a cached panel by must equal the
   // number of consuming updates the rank's program declares — an
-  // overcount leaks the panel, an undercount frees it early (and
-  // analysis/panel_lifetime would then see a read-after-release).
-  std::vector<std::vector<int>> real(
-      static_cast<std::size_t>(report.panels),
-      std::vector<int>(static_cast<std::size_t>(prog.processors()), 0));
-  for (int p = 0; p < prog.processors(); ++p) {
-    for (const FlatOp& f : flat.per_rank[static_cast<std::size_t>(p)]) {
-      if (f.what != FlatOp::What::kConsume) continue;
-      if (owner_of(f.panel) == p) continue;
-      if (f.panel >= 0 && f.panel < report.panels)
-        real[static_cast<std::size_t>(f.panel)][static_cast<std::size_t>(p)]++;
-    }
-  }
-  // A panel or rank missing from `consumer_counts` counts as a declared
-  // zero — shorter vectors are checked, not rejected, so a truncated
+  // overcount leaks the panel, an undercount frees it early (and the
+  // panel-lifetime audit would then see a read-after-release). A panel
+  // or rank missing from `consumer_counts` counts as a declared zero —
+  // shorter vectors are checked, not rejected, so a truncated
   // configuration is itself a reportable mismatch.
+  const std::vector<std::vector<int>> real = sim::panel_consumer_counts(prog);
+  const auto entry = [](const std::vector<std::vector<int>>& counts, int k,
+                        int p) {
+    const std::size_t kk = static_cast<std::size_t>(k);
+    const std::size_t pp = static_cast<std::size_t>(p);
+    return kk < counts.size() && pp < counts[kk].size() ? counts[kk][pp] : 0;
+  };
   for (int k = 0; k < report.panels; ++k) {
     for (int p = 0; p < prog.processors(); ++p) {
-      const int declared =
-          k < static_cast<int>(consumer_counts.size()) &&
-                  p < static_cast<int>(
-                          consumer_counts[static_cast<std::size_t>(k)].size())
-              ? consumer_counts[static_cast<std::size_t>(k)]
-                               [static_cast<std::size_t>(p)]
-              : 0;
-      const int actual =
-          real[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
+      const int declared = entry(consumer_counts, k, p);
+      const int actual = entry(real, k, p);
       report.counts_checked++;
       if (declared != actual) {
         CommAuditIssue issue;
@@ -458,14 +373,13 @@ TrafficReport check_recorded_traffic(const sim::ParallelProgram& prog,
                                      const trace::Trace& trace) {
   TrafficReport report;
   report.ranks = prog.processors();
-  const FlatProgram flat = flatten(prog);
+  const sim::PanelTimeline tl = sim::panel_timeline(prog);
 
   for (int p = 0; p < prog.processors(); ++p) {
     // Planned comm ops in program order.
-    std::vector<const FlatOp*> plan;
-    for (const FlatOp& f : flat.per_rank[static_cast<std::size_t>(p)])
-      if (f.what == FlatOp::What::kSend || f.what == FlatOp::What::kRecv)
-        plan.push_back(&f);
+    std::vector<const sim::PanelEvent*> plan;
+    for (const sim::PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)])
+      if (is_comm(e)) plan.push_back(&e);
     // Recorded comm events of this rank's lane, in time order — one
     // thread drives a rank, so time order IS its execution order.
     std::vector<const trace::TraceEvent*> got;
@@ -500,13 +414,13 @@ TrafficReport check_recorded_traffic(const sim::ParallelProgram& prog,
         TrafficIssue issue;
         issue.rank = p;
         issue.index = static_cast<int>(i);
-        issue.expected = plan[i]->site.describe();
+        issue.expected = site_of(*plan[i]).describe();
         issue.observed = "(end of trace)";
         report.issues.push_back(issue);
         continue;
       }
       report.events_checked++;
-      const sim::CommOp& op = plan[i]->site.op;
+      const sim::CommOp& op = plan[i]->op;
       const trace::TraceEvent& e = *got[i];
       const bool kind_ok =
           (op.kind == sim::CommOp::Kind::kSend) ==
@@ -521,11 +435,84 @@ TrafficReport check_recorded_traffic(const sim::ParallelProgram& prog,
         TrafficIssue issue;
         issue.rank = p;
         issue.index = static_cast<int>(i);
-        issue.expected = plan[i]->site.describe();
+        issue.expected = site_of(*plan[i]).describe();
         issue.observed = fmt_event(e);
         report.issues.push_back(issue);
       }
     }
+  }
+  return report;
+}
+
+// --- panel lifetimes ----------------------------------------------------
+
+std::string PanelLifetimeIssue::message() const {
+  std::ostringstream os;
+  switch (kind) {
+    case Kind::kReadAfterRelease:
+      os << "rank " << rank << " task " << task << " consumes panel " << k
+         << " AFTER its refcount released it";
+      break;
+    case Kind::kReadBeforeReceive:
+      os << "rank " << rank << " task " << task << " consumes panel " << k
+         << " with no delivering recv before it";
+      break;
+    case Kind::kForwardAfterRelease:
+      os << "rank " << rank << " task " << task << " forwards panel " << k
+         << " which is not resident";
+      break;
+    case Kind::kLeak:
+      os << "rank " << rank << " ends its program with panel " << k
+         << " still resident (refcount leak)";
+      break;
+  }
+  return os.str();
+}
+
+std::string PanelLifetimeReport::summary() const {
+  std::ostringstream os;
+  os << "panel lifetime audit: " << ranks << " rank(s), " << panels
+     << " panel(s), " << accesses_checked << " access(es) replayed, "
+     << issues.size() << " issue(s)";
+  for (const PanelLifetimeIssue& i : issues) os << "\n  " << i.message();
+  return os.str();
+}
+
+PanelLifetimeReport audit_panel_lifetimes(
+    const sim::ParallelProgram& prog,
+    const std::vector<ReleaseOverride>& overrides) {
+  std::vector<std::vector<int>> counts = sim::panel_consumer_counts(prog);
+  for (const ReleaseOverride& o : overrides)
+    if (o.k >= 0 && o.k < static_cast<int>(counts.size()) && o.rank >= 0 &&
+        o.rank < prog.processors())
+      counts[static_cast<std::size_t>(o.k)][static_cast<std::size_t>(o.rank)] =
+          o.uses;
+  const sim::PanelTimeline tl = sim::panel_timeline(prog, counts);
+
+  PanelLifetimeReport report;
+  report.ranks = prog.processors();
+  report.panels = static_cast<int>(tl.owner.size());
+  using Kind = PanelLifetimeIssue::Kind;
+  for (int p = 0; p < prog.processors(); ++p) {
+    for (const sim::PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)]) {
+      // Consumes read the cache; so does a forward-send of a cached
+      // panel (a row leader re-sending what it just received). The
+      // owner's own sends read owned storage and need no check.
+      const bool forward =
+          e.kind == sim::PanelEvent::Kind::kSend &&
+          !(e.panel >= 0 && e.panel < report.panels &&
+            tl.owner[static_cast<std::size_t>(e.panel)] == p);
+      if (e.kind != sim::PanelEvent::Kind::kConsume && !forward) continue;
+      report.accesses_checked++;
+      if (e.seen == sim::Residency::kResident) continue;
+      const Kind kind = forward ? Kind::kForwardAfterRelease
+                        : e.seen == sim::Residency::kReleased
+                            ? Kind::kReadAfterRelease
+                            : Kind::kReadBeforeReceive;
+      report.issues.push_back(PanelLifetimeIssue{kind, p, e.task, e.panel});
+    }
+    for (const int k : tl.resident_at_end[static_cast<std::size_t>(p)])
+      report.issues.push_back(PanelLifetimeIssue{Kind::kLeak, p, -1, k});
   }
   return report;
 }
@@ -539,19 +526,10 @@ namespace {
 std::vector<CommOpSite> all_sites(const sim::ParallelProgram& prog,
                                   sim::CommOp::Kind kind) {
   std::vector<CommOpSite> sites;
-  for (int p = 0; p < prog.processors(); ++p) {
-    for (const sim::TaskId t : prog.proc_order(p)) {
-      const sim::TaskDef& def = prog.task(t);
-      for (int i = 0; i < static_cast<int>(def.pre_comms.size()); ++i)
-        if (def.pre_comms[static_cast<std::size_t>(i)].kind == kind)
-          sites.push_back(
-              {p, t, true, i, def.pre_comms[static_cast<std::size_t>(i)]});
-      for (int i = 0; i < static_cast<int>(def.post_comms.size()); ++i)
-        if (def.post_comms[static_cast<std::size_t>(i)].kind == kind)
-          sites.push_back(
-              {p, t, false, i, def.post_comms[static_cast<std::size_t>(i)]});
-    }
-  }
+  const sim::PanelTimeline tl = sim::panel_timeline(prog);
+  for (const std::vector<sim::PanelEvent>& events : tl.per_rank)
+    for (const sim::PanelEvent& e : events)
+      if (is_comm(e) && e.op.kind == kind) sites.push_back(site_of(e));
   return sites;
 }
 
@@ -701,14 +679,12 @@ CommMutation mutate_miscount_consumer(const sim::ParallelProgram& prog,
   m.rank = p;
   m.panel = k;
   // Name the rank's first task consuming the panel, for the message.
-  for (const sim::TaskId t : prog.proc_order(p)) {
-    for (const sim::KernelCall& kc : prog.task(t).kernels) {
-      if (kc.kind == sim::KernelCall::Kind::kUpdate && kc.k == k) {
-        m.task = t;
-        break;
-      }
+  const sim::PanelTimeline tl = sim::panel_timeline(prog);
+  for (const sim::PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)]) {
+    if (e.kind == sim::PanelEvent::Kind::kConsume && e.panel == k) {
+      m.task = e.task;
+      break;
     }
-    if (m.task >= 0) break;
   }
   std::ostringstream os;
   os << (delta > 0 ? "overcounted" : "undercounted")

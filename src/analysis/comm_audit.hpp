@@ -14,20 +14,24 @@
 //     recvs on one (src, dst, tag) channel pair up in program order,
 //     which is exactly the transport's FIFO-per-channel guarantee;
 //  2. coverage — every kernel call consuming a panel the rank does not
-//     own is preceded, in the rank's program order, by the recv that
-//     supplies it, and every send (the owner's fan-out AND a 2D row
-//     leader's forwarding hop) moves a panel the sender provably holds
-//     at that point (factored locally or already received);
+//     own sees the panel held (received earlier in the rank's program
+//     order), and every send (the owner's fan-out AND a 2D row leader's
+//     forwarding hop) moves a panel the sender holds at that point
+//     (factored locally or already received);
 //  3. deadlock-freedom — the static wait-for graph over (rank, program
 //     position) op nodes, under blocking-recv FIFO semantics, is
 //     well-founded (acyclic). This is the proof sketch formerly in
 //     exec/lu_mp.cpp turned into an algorithm: on failure the report
 //     carries the counterexample wait cycle, op by op;
-//  4. release safety — the consumer refcounts the DistBlockStore frees
-//     cached panels by (sim::panel_consumer_counts) exactly equal the
+//  4. release safety — the consumer refcounts the DistBlockStore is
+//     configured with exactly equal sim::panel_consumer_counts, the
 //     consumers each rank's program declares, so no panel is freed
-//     early or leaked. (analysis/panel_lifetime replays the protocol;
-//     this property validates the counts it and the store start from.)
+//     early or leaked. (audit_panel_lifetimes below checks the release
+//     points those counts produce.)
+//
+// Every property reads one model of the protocol, sim::panel_timeline:
+// the comm-op sites in execution order (properties 1 and 3) and the
+// residency each send and remote consume sees (property 2).
 //
 // A dynamic twin, check_recorded_traffic(), cross-validates the
 // send/recv events a trace::TraceCollector recorded from the real
@@ -119,6 +123,67 @@ CommAuditReport audit_comm_plan(
 /// Same, with consumer_counts = sim::panel_consumer_counts(prog).
 CommAuditReport audit_comm_plan(const sim::ParallelProgram& prog,
                                 const BlockLayout& layout);
+
+// --- panel lifetimes (the refcounted release protocol) -----------------
+//
+// A rank holds a received Factor(k) panel only between its arrival (the
+// plan's kRecv) and its last consuming Update on that rank, the point
+// DistBlockStore (core/block_store.hpp) frees it. audit_panel_lifetimes
+// folds the panel timeline (sim::panel_timeline) built with the
+// store's refcounts and flags, without executing any numeric work:
+//
+//  * a consuming ScaleSwap+Update pair that runs after the refcount
+//    released the panel (read-after-release) or before any kRecv
+//    delivered it (read-before-receive);
+//  * a forwarding send (a row leader's pre_comms kSend) issued when the
+//    panel is not resident;
+//  * a remote panel still resident when the rank's program ends (a
+//    refcount leak — memory the protocol promised to return).
+//
+// With the plan-derived counts the audit passes on every built program.
+// Release overrides mirror DistBlockStore::set_release_override so the
+// negative tests can force an early release and assert the audit names
+// the exact (rank, task, panel) that lost its data.
+
+/// One access to a panel that the release protocol cannot serve.
+struct PanelLifetimeIssue {
+  enum class Kind {
+    kReadAfterRelease,   ///< consumed after the refcount hit zero
+    kReadBeforeReceive,  ///< consumed with no delivering recv before it
+    kForwardAfterRelease,///< forward-send of a non-resident panel
+    kLeak,               ///< still resident at end of the rank's program
+  };
+  Kind kind = Kind::kReadAfterRelease;
+  int rank = -1;
+  sim::TaskId task = -1;  ///< -1 for kLeak (no task; end of program)
+  int k = -1;             ///< the panel
+
+  std::string message() const;
+};
+
+struct PanelLifetimeReport {
+  int ranks = 0;
+  int panels = 0;
+  std::int64_t accesses_checked = 0;  ///< consumes + forwards replayed
+  std::vector<PanelLifetimeIssue> issues;
+
+  bool ok() const { return issues.empty(); }
+  std::string summary() const;
+};
+
+/// Release panel k on `rank` after `uses` consuming tasks instead of
+/// the plan-derived count (the audit-side twin of the store's test
+/// hook).
+struct ReleaseOverride {
+  int rank = -1;
+  int k = -1;
+  int uses = 0;
+};
+
+/// Check `prog` (comm plan attached) against the refcount protocol.
+PanelLifetimeReport audit_panel_lifetimes(
+    const sim::ParallelProgram& prog,
+    const std::vector<ReleaseOverride>& overrides = {});
 
 // --- dynamic cross-validation (recorded Transport traffic) --------------
 

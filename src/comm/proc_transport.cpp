@@ -1,10 +1,12 @@
 #include "comm/proc_transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 
-#include "trace/trace.hpp"
 #include "util/check.hpp"
 
 #if defined(__linux__)
@@ -27,7 +29,8 @@ constexpr std::size_t kAlign = 64;
 std::size_t align_up(std::size_t v) { return (v + kAlign - 1) & ~(kAlign - 1); }
 
 // One pooled message: header + payload bytes, linked by segment offset
-// (offset 0 is reserved as null — it points at the header).
+// (offset 0 is reserved as null — it points at the header). The offset
+// doubles as the core's queue node id.
 struct MsgNode {
   std::uint64_t next;
   std::int32_t src;
@@ -38,57 +41,54 @@ struct MsgNode {
 
 }  // namespace
 
-struct ProcTransport::RankState {
+struct ProcTransport::Slot {
   pthread_cond_t cv;
-  std::int32_t waiting;
-  std::int32_t want_src;
-  std::int32_t want_tag;
-  std::int32_t finished;
   std::uint64_t head;  // oldest queued message (segment offset, 0 = none)
   std::uint64_t tail;
-  std::uint64_t queued;  // current queue length (for dumps)
-  RankCommStats stats;
+  RankState st;
 };
 
 struct ProcTransport::Shared {
   pthread_mutex_t mu;
-  std::int32_t nranks;
-  std::int32_t aborted;
-  std::int32_t aborted_deadlock;
-  std::int32_t num_finished;
-  std::uint64_t rank_state_off;  // offsets from the segment base
+  Flags flags;
+  std::uint64_t slot_off;  // offsets from the segment base
   std::uint64_t pool_off;
   std::uint64_t pool_used;
   std::uint64_t pool_cap;
   char abort_reason[4096];
 };
 
-ProcTransport::RankState* ProcTransport::rank_state(int r) const {
+namespace {
+
+MsgNode* node_at(void* base, std::uint64_t off) {
+  return reinterpret_cast<MsgNode*>(static_cast<std::uint8_t*>(base) + off);
+}
+
+}  // namespace
+
+ProcTransport::Slot& ProcTransport::slot(int r) const {
   auto* base = reinterpret_cast<std::uint8_t*>(sh_);
-  return reinterpret_cast<RankState*>(base + sh_->rank_state_off) + r;
+  return reinterpret_cast<Slot*>(base + sh_->slot_off)[r];
 }
 
 ProcTransport::ProcTransport(int ranks, double watchdog_seconds,
                              std::size_t pool_bytes)
-    : nranks_(ranks), watchdog_seconds_(watchdog_seconds) {
-  SSTAR_CHECK(ranks > 0);
-  SSTAR_CHECK(watchdog_seconds > 0.0);
+    : MailboxTransport(ranks, watchdog_seconds) {
   SSTAR_CHECK(pool_bytes >= (std::size_t{1} << 16));
 
   const std::size_t header = align_up(sizeof(Shared));
-  const std::size_t states =
-      align_up(sizeof(RankState) * static_cast<std::size_t>(ranks));
-  map_bytes_ = header + states + align_up(pool_bytes);
+  const std::size_t slots =
+      align_up(sizeof(Slot) * static_cast<std::size_t>(ranks));
+  map_bytes_ = header + slots + align_up(pool_bytes);
   void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   SSTAR_CHECK_MSG(mem != MAP_FAILED,
                   "ProcTransport: mmap of " << map_bytes_
                                             << " shared bytes failed, errno "
                                             << errno);
-  sh_ = static_cast<Shared*>(mem);  // zero-filled by the kernel
-  sh_->nranks = ranks;
-  sh_->rank_state_off = header;
-  sh_->pool_off = header + states;
+  sh_ = new (mem) Shared{};
+  sh_->slot_off = header;
+  sh_->pool_off = header + slots;
   sh_->pool_cap = align_up(pool_bytes);
 
   pthread_mutexattr_t ma;
@@ -103,10 +103,8 @@ ProcTransport::ProcTransport(int ranks, double watchdog_seconds,
   pthread_condattr_setpshared(&ca, PTHREAD_PROCESS_SHARED);
   pthread_condattr_setclock(&ca, CLOCK_MONOTONIC);
   for (int r = 0; r < ranks; ++r) {
-    RankState* rs = rank_state(r);
-    SSTAR_CHECK(pthread_cond_init(&rs->cv, &ca) == 0);
-    rs->want_src = kAnySource;
-    rs->want_tag = kAnyTag;
+    Slot* s = new (&slot(r)) Slot{};
+    SSTAR_CHECK(pthread_cond_init(&s->cv, &ca) == 0);
   }
   pthread_condattr_destroy(&ca);
 }
@@ -115,332 +113,151 @@ ProcTransport::~ProcTransport() {
   if (sh_ != nullptr) ::munmap(sh_, map_bytes_);
 }
 
-void ProcTransport::lock_mu() const {
+bool ProcTransport::lock() const {
   const int rc = pthread_mutex_lock(&sh_->mu);
   if (rc == EOWNERDEAD) {
     // A peer process died between lock and unlock. The robust mutex
-    // hands us the lock with the state as the victim left it; our
+    // hands us the lock with the state as the victim left it; its
     // writes are monotone flags and queue links, so consume-or-ignore
-    // is safe — poison the transport with a pinned diagnostic.
+    // is safe — the core poisons the transport with a pinned diagnostic.
     pthread_mutex_consistent(&sh_->mu);
-    abort_locked(/*deadlock=*/false,
-                 "peer rank process died while holding the transport lock "
-                 "(robust mutex recovered)" +
-                     dump_locked());
-    return;
+    return true;
   }
   SSTAR_CHECK_MSG(rc == 0, "pthread_mutex_lock failed, rc " << rc);
+  return false;
 }
 
-void ProcTransport::unlock_mu() const { pthread_mutex_unlock(&sh_->mu); }
+void ProcTransport::unlock() const { pthread_mutex_unlock(&sh_->mu); }
 
-std::uint64_t ProcTransport::find_match_locked(RankState& rs, int src,
-                                               int tag,
-                                               std::uint64_t* prev_out) const {
-  auto* base = reinterpret_cast<std::uint8_t*>(sh_);
-  std::uint64_t prev = 0;
-  for (std::uint64_t off = rs.head; off != 0;) {
-    const auto* node = reinterpret_cast<const MsgNode*>(base + off);
-    if ((src == kAnySource || node->src == src) &&
-        (tag == kAnyTag || node->tag == tag)) {
-      if (prev_out != nullptr) *prev_out = prev;
-      return off;  // first match = oldest: FIFO per (src, dst, tag)
-    }
-    prev = off;
-    off = node->next;
+MailboxTransport::Wake ProcTransport::wait(
+    int rank, std::chrono::steady_clock::time_point deadline) const {
+  // The condvars run on CLOCK_MONOTONIC: carry the time left over.
+  const double left = std::max(
+      0.0, std::chrono::duration<double>(
+               deadline - std::chrono::steady_clock::now()).count());
+  struct timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  const double total = static_cast<double>(ts.tv_sec) +
+                       static_cast<double>(ts.tv_nsec) * 1e-9 + left;
+  ts.tv_sec = static_cast<time_t>(total);
+  ts.tv_nsec =
+      static_cast<long>((total - static_cast<double>(ts.tv_sec)) * 1e9);
+  const int rc = pthread_cond_timedwait(&slot(rank).cv, &sh_->mu, &ts);
+  if (rc == EOWNERDEAD) {
+    pthread_mutex_consistent(&sh_->mu);
+    return Wake::kOwnerDied;
   }
-  return 0;
+  return rc == ETIMEDOUT ? Wake::kTimeout : Wake::kSignaled;
 }
 
-std::string ProcTransport::dump_locked() const {
-  std::ostringstream os;
-  for (int r = 0; r < nranks_; ++r) {
-    const RankState* rs = rank_state(r);
-    os << "\n  rank " << r << ": ";
-    if (rs->waiting) {
-      os << "blocked in recv(src=";
-      if (rs->want_src == kAnySource)
-        os << "any";
-      else
-        os << rs->want_src;
-      os << ", tag=";
-      if (rs->want_tag == kAnyTag)
-        os << "any";
-      else
-        os << rs->want_tag;
-      os << "), " << rs->queued << " unmatched message(s) queued";
-    } else if (rs->finished) {
-      os << "finished";
-    } else {
-      os << "running";
-    }
-  }
-  return os.str();
+void ProcTransport::wake(int rank) const {
+  pthread_cond_broadcast(&slot(rank).cv);
 }
 
-bool ProcTransport::deadlock_locked() const {
-  int live_waiting = 0;
-  for (int r = 0; r < nranks_; ++r) {
-    RankState* rs = rank_state(r);
-    if (rs->finished) continue;
-    if (!rs->waiting) return false;  // a rank is still making progress
-    if (find_match_locked(*rs, rs->want_src, rs->want_tag, nullptr) != 0)
-      return false;  // it was notified and will consume this on wake-up
-    ++live_waiting;
-  }
-  return live_waiting > 0;
+MailboxTransport::RankState& ProcTransport::state(int rank) const {
+  return slot(rank).st;
 }
 
-void ProcTransport::abort_locked(bool deadlock,
-                                 const std::string& reason) const {
-  if (sh_->aborted) return;  // first reason wins
-  sh_->aborted = 1;
-  sh_->aborted_deadlock = deadlock ? 1 : 0;
+MailboxTransport::Flags& ProcTransport::flags() const { return sh_->flags; }
+
+std::string ProcTransport::abort_reason() const { return sh_->abort_reason; }
+
+void ProcTransport::set_abort_reason(const std::string& reason) const {
   std::strncpy(sh_->abort_reason, reason.c_str(),
                sizeof(sh_->abort_reason) - 1);
   sh_->abort_reason[sizeof(sh_->abort_reason) - 1] = '\0';
-  for (int r = 0; r < nranks_; ++r)
-    pthread_cond_broadcast(&rank_state(r)->cv);
 }
 
-void ProcTransport::send(int src, int dst, int tag,
-                         std::vector<std::uint8_t> payload) {
-  SSTAR_CHECK(dst >= 0 && dst < nranks_);
-  SSTAR_CHECK(src >= 0 && src < nranks_);
-  if (trace::TraceCollector::active() != nullptr) {
-    trace::TraceEvent e;
-    e.kind = trace::EventKind::kSend;
-    e.lane = src;
-    e.peer = dst;
-    e.k = tag;
-    e.bytes = static_cast<std::int64_t>(payload.size());
-    e.t0 = e.t1 = trace::TraceCollector::now();
-    trace::TraceCollector::record(e, /*explicit_lane=*/true);
-  }
-  lock_mu();
-  if (sh_->aborted) {
-    const std::string reason = sh_->abort_reason;
-    unlock_mu();
-    throw TransportError(reason);
-  }
-  const std::size_t need =
-      align_up(sizeof(MsgNode) + payload.size());
+std::string ProcTransport::enqueue(int dst, Message m) {
+  const std::size_t need = align_up(sizeof(MsgNode) + m.payload.size());
   if (sh_->pool_used + need > sh_->pool_cap) {
     std::ostringstream os;
     os << "shared-memory message pool exhausted: " << sh_->pool_used << " of "
        << sh_->pool_cap << " bytes used, " << need
        << " more needed — raise the proc transport pool size "
           "(MpOptions::proc_pool_bytes)";
-    const std::string reason = os.str();
-    abort_locked(/*deadlock=*/false, reason);
-    unlock_mu();
-    throw TransportError(reason);
+    return os.str();
   }
   const std::uint64_t off = sh_->pool_off + sh_->pool_used;
   sh_->pool_used += need;
-  auto* base = reinterpret_cast<std::uint8_t*>(sh_);
-  auto* node = reinterpret_cast<MsgNode*>(base + off);
+  MsgNode* node = node_at(sh_, off);
   node->next = 0;
-  node->src = src;
-  node->tag = tag;
-  node->size = payload.size();
-  if (!payload.empty())
-    std::memcpy(node + 1, payload.data(), payload.size());
+  node->src = m.src;
+  node->tag = m.tag;
+  node->size = m.payload.size();
+  if (!m.payload.empty())
+    std::memcpy(node + 1, m.payload.data(), m.payload.size());
 
-  RankState* rs = rank_state(dst);
-  if (rs->tail == 0) {
-    rs->head = rs->tail = off;
-  } else {
-    reinterpret_cast<MsgNode*>(base + rs->tail)->next = off;
-    rs->tail = off;
-  }
-  ++rs->queued;
-  RankState* ss = rank_state(src);
-  ss->stats.messages_sent += 1;
-  ss->stats.bytes_sent += static_cast<std::int64_t>(payload.size());
-  pthread_cond_broadcast(&rs->cv);
-  unlock_mu();
+  Slot& s = slot(dst);
+  if (s.tail == 0)
+    s.head = off;
+  else
+    node_at(sh_, s.tail)->next = off;
+  s.tail = off;
+  return {};
 }
 
-Message ProcTransport::recv(int rank, int src, int tag) {
-  SSTAR_CHECK(rank >= 0 && rank < nranks_);
-  // Tracing: the wait span starts at the call, not at the match — the
-  // gap IS the paper's "communication/idle" phase for this rank.
-  const bool tracing = trace::TraceCollector::active() != nullptr;
-  const double trace_t0 = tracing ? trace::TraceCollector::now() : 0.0;
-
-  struct timespec deadline;
-  clock_gettime(CLOCK_MONOTONIC, &deadline);
-  {
-    const double whole = static_cast<double>(deadline.tv_sec);
-    const double total =
-        whole + static_cast<double>(deadline.tv_nsec) * 1e-9 +
-        watchdog_seconds_;
-    deadline.tv_sec = static_cast<time_t>(total);
-    deadline.tv_nsec =
-        static_cast<long>((total - static_cast<double>(deadline.tv_sec)) *
-                          1e9);
+std::uint64_t ProcTransport::next_queued(int rank, std::uint64_t node,
+                                         int* src, int* tag) const {
+  const std::uint64_t next =
+      node == 0 ? slot(rank).head : node_at(sh_, node)->next;
+  if (next != 0) {
+    *src = node_at(sh_, next)->src;
+    *tag = node_at(sh_, next)->tag;
   }
-
-  lock_mu();
-  RankState& rs = *rank_state(rank);
-  auto* base = reinterpret_cast<std::uint8_t*>(sh_);
-  for (;;) {
-    if (sh_->aborted) {
-      const std::string reason = sh_->abort_reason;
-      const bool dl = sh_->aborted_deadlock != 0;
-      unlock_mu();
-      if (dl) throw DeadlockError(reason);
-      throw TransportError(reason);
-    }
-    std::uint64_t prev = 0;
-    const std::uint64_t off = find_match_locked(rs, src, tag, &prev);
-    if (off != 0) {
-      auto* node = reinterpret_cast<MsgNode*>(base + off);
-      // Unlink (pool nodes are bump-allocated, never reused).
-      if (prev == 0)
-        rs.head = node->next;
-      else
-        reinterpret_cast<MsgNode*>(base + prev)->next = node->next;
-      if (rs.tail == off) rs.tail = prev;
-      --rs.queued;
-      Message m;
-      m.src = node->src;
-      m.tag = node->tag;
-      m.payload.assign(
-          reinterpret_cast<const std::uint8_t*>(node + 1),
-          reinterpret_cast<const std::uint8_t*>(node + 1) + node->size);
-      rs.stats.messages_received += 1;
-      rs.stats.bytes_received += static_cast<std::int64_t>(node->size);
-      unlock_mu();
-      if (tracing) {
-        trace::TraceEvent e;
-        e.kind = trace::EventKind::kRecvWait;
-        e.lane = rank;
-        e.peer = m.src;
-        e.k = m.tag;
-        e.bytes = static_cast<std::int64_t>(m.payload.size());
-        e.t0 = trace_t0;
-        e.t1 = trace::TraceCollector::now();
-        trace::TraceCollector::record(e, /*explicit_lane=*/true);
-      }
-      return m;
-    }
-
-    rs.waiting = 1;
-    rs.want_src = src;
-    rs.want_tag = tag;
-    if (deadlock_locked()) {
-      // Sends never block (bump pool, loud abort on exhaustion), so
-      // every live rank blocked in recv with no satisfiable message
-      // queued means no message can ever arrive again: certain
-      // deadlock, right now.
-      abort_locked(/*deadlock=*/true,
-                   "message-passing deadlock: every live rank is blocked "
-                   "in recv" +
-                       dump_locked());
-    } else {
-      const int rc = pthread_cond_timedwait(&rs.cv, &sh_->mu, &deadline);
-      if (rc == EOWNERDEAD) {
-        pthread_mutex_consistent(&sh_->mu);
-        abort_locked(/*deadlock=*/false,
-                     "peer rank process died while holding the transport "
-                     "lock (robust mutex recovered)" +
-                         dump_locked());
-      } else if (rc == ETIMEDOUT &&
-                 find_match_locked(rs, src, tag, nullptr) == 0 &&
-                 !sh_->aborted) {
-        std::ostringstream os;
-        os << "recv watchdog expired after " << watchdog_seconds_
-           << "s on rank " << rank << dump_locked();
-        abort_locked(/*deadlock=*/true, os.str());
-      }
-    }
-    rs.waiting = 0;
-    // Loop: either aborted (throw above) or re-scan for the message
-    // whose arrival woke us.
-  }
+  return next;
 }
 
-bool ProcTransport::probe(int rank, int src, int tag) {
-  SSTAR_CHECK(rank >= 0 && rank < nranks_);
-  lock_mu();
-  if (sh_->aborted) {
-    const std::string reason = sh_->abort_reason;
-    unlock_mu();
-    throw TransportError(reason);
-  }
-  const bool found = find_match_locked(*rank_state(rank), src, tag,
-                                       nullptr) != 0;
-  unlock_mu();
-  return found;
-}
-
-void ProcTransport::finish(int rank) {
-  SSTAR_CHECK(rank >= 0 && rank < nranks_);
-  lock_mu();
-  RankState* rs = rank_state(rank);
-  if (!rs->finished) {
-    rs->finished = 1;
-    ++sh_->num_finished;
-    if (sh_->num_finished < nranks_ && deadlock_locked()) {
-      abort_locked(/*deadlock=*/true,
-                   "message-passing deadlock: remaining ranks wait on "
-                   "finished peers" +
-                       dump_locked());
-    }
-  }
-  unlock_mu();
-}
-
-void ProcTransport::abort(const std::string& reason) {
-  lock_mu();
-  abort_locked(/*deadlock=*/false, reason);
-  unlock_mu();
-}
-
-RankCommStats ProcTransport::stats(int rank) const {
-  SSTAR_CHECK(rank >= 0 && rank < nranks_);
-  lock_mu();
-  const RankCommStats s = rank_state(rank)->stats;
-  unlock_mu();
-  return s;
+Message ProcTransport::dequeue(int rank, std::uint64_t node,
+                               std::uint64_t prev) {
+  Slot& s = slot(rank);
+  const MsgNode* n = node_at(sh_, node);
+  // Unlink (pool nodes are bump-allocated, never reused).
+  if (prev == 0)
+    s.head = n->next;
+  else
+    node_at(sh_, prev)->next = n->next;
+  if (s.tail == node) s.tail = prev;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(n + 1);
+  return Message{n->src, n->tag,
+                 std::vector<std::uint8_t>(bytes, bytes + n->size)};
 }
 
 #else  // !SSTAR_PROC_TRANSPORT_SUPPORTED
 
-struct ProcTransport::Shared {};
-struct ProcTransport::RankState {};
+struct ProcTransport::Slot {};
 
 ProcTransport::ProcTransport(int ranks, double watchdog_seconds,
-                             std::size_t pool_bytes) {
-  (void)ranks;
-  (void)watchdog_seconds;
+                             std::size_t pool_bytes)
+    : MailboxTransport(ranks, watchdog_seconds) {
   (void)pool_bytes;
   throw TransportError(
       "ProcTransport requires process-shared robust pthread primitives "
       "(Linux); use InProcTransport on this platform");
 }
 
+// Unreachable: the constructor always throws.
 ProcTransport::~ProcTransport() = default;
-ProcTransport::RankState* ProcTransport::rank_state(int) const {
-  return nullptr;
+ProcTransport::Slot& ProcTransport::slot(int) const { std::abort(); }
+bool ProcTransport::lock() const { std::abort(); }
+void ProcTransport::unlock() const {}
+MailboxTransport::Wake ProcTransport::wait(
+    int, std::chrono::steady_clock::time_point) const {
+  std::abort();
 }
-void ProcTransport::lock_mu() const {}
-void ProcTransport::unlock_mu() const {}
-std::uint64_t ProcTransport::find_match_locked(RankState&, int, int,
-                                               std::uint64_t*) const {
+void ProcTransport::wake(int) const {}
+MailboxTransport::RankState& ProcTransport::state(int) const { std::abort(); }
+MailboxTransport::Flags& ProcTransport::flags() const { std::abort(); }
+std::string ProcTransport::abort_reason() const { return {}; }
+void ProcTransport::set_abort_reason(const std::string&) const {}
+std::string ProcTransport::enqueue(int, Message) { return {}; }
+std::uint64_t ProcTransport::next_queued(int, std::uint64_t, int*,
+                                         int*) const {
   return 0;
 }
-std::string ProcTransport::dump_locked() const { return {}; }
-bool ProcTransport::deadlock_locked() const { return false; }
-void ProcTransport::abort_locked(bool, const std::string&) const {}
-void ProcTransport::send(int, int, int, std::vector<std::uint8_t>) {}
-Message ProcTransport::recv(int, int, int) { return {}; }
-bool ProcTransport::probe(int, int, int) { return false; }
-void ProcTransport::finish(int) {}
-void ProcTransport::abort(const std::string&) {}
-RankCommStats ProcTransport::stats(int) const { return {}; }
+Message ProcTransport::dequeue(int, std::uint64_t, std::uint64_t) {
+  return {};
+}
 
 #endif  // SSTAR_PROC_TRANSPORT_SUPPORTED
 

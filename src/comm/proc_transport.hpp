@@ -1,27 +1,25 @@
-// Out-of-process transport: the second implementation behind the
-// Transport seam (DESIGN.md §16). Ranks are real OS processes (or
-// threads — the primitives are process-shared either way) exchanging
-// messages through one anonymous MAP_SHARED segment:
+// Out-of-process transport: the second storage-and-lock backend of the
+// MailboxTransport core (DESIGN.md §16). Ranks are real OS processes
+// (or threads — the primitives are process-shared either way)
+// exchanging messages through one anonymous MAP_SHARED segment:
 //
-//   [ header | per-rank state | message pool ]
+//   [ header | per-rank slots | message pool ]
 //
 // The header holds a PTHREAD_PROCESS_SHARED **robust** mutex (so a
 // peer dying while holding the lock surfaces as EOWNERDEAD + a pinned
-// abort instead of a hang) and the abort/finished bookkeeping; each
-// rank has a process-shared condition variable on CLOCK_MONOTONIC
-// (futex-backed on Linux) plus an intrusive FIFO of pool offsets; the
-// pool is a bump allocator — sends never block and never reuse nodes,
-// preserving the liveness argument the exact deadlock detector rests
-// on (see transport.hpp). Pool exhaustion is a loud abort naming the
-// capacity, not a stall.
+// abort instead of a hang) and the core's abort/finished flags; each
+// rank's slot has a process-shared condition variable on
+// CLOCK_MONOTONIC (futex-backed on Linux), the core's per-rank state
+// and an intrusive FIFO of pool offsets. The pool is a bump allocator —
+// sends never block and never reuse nodes, preserving the liveness
+// argument the exact deadlock detector rests on (see transport.hpp).
+// Pool exhaustion is a loud abort naming the capacity, not a stall.
 //
 // The segment must be created BEFORE the rank processes fork (it is
 // inherited by address-space copy); exec/lu_mp's proc driver does
-// exactly that. Semantics — matching, FIFO per (src, dst, tag),
-// wildcards, exact deadlock detection, watchdog, per-rank stats,
-// first-abort-wins, trace events — mirror InProcTransport line for
-// line; the cross-transport differential tests pin factors bitwise
-// across the two.
+// exactly that. Matching, deadlock detection, the watchdog, stats,
+// abort and every diagnostic string come from MailboxTransport, the
+// code InProcTransport runs too.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +28,7 @@
 
 namespace sstar::comm {
 
-class ProcTransport final : public Transport {
+class ProcTransport final : public MailboxTransport {
  public:
   /// Default message-pool capacity. Pages are zero-fill-on-demand, so
   /// untouched capacity costs address space only.
@@ -46,35 +44,28 @@ class ProcTransport final : public Transport {
   ProcTransport(const ProcTransport&) = delete;
   ProcTransport& operator=(const ProcTransport&) = delete;
 
-  int ranks() const override { return nranks_; }
-  void send(int src, int dst, int tag,
-            std::vector<std::uint8_t> payload) override;
-  Message recv(int rank, int src, int tag) override;
-  bool probe(int rank, int src, int tag) override;
-  void finish(int rank) override;
-  void abort(const std::string& reason) override;
-  RankCommStats stats(int rank) const override;
-
  private:
-  struct Shared;     // segment header (defined in the .cpp)
-  struct RankState;  // per-rank shared state
+  struct Shared;  // segment header (defined in the .cpp)
+  struct Slot;    // per-rank shared state
 
-  RankState* rank_state(int r) const;
-  // All *_locked helpers require the segment mutex. lock_mu handles
-  // EOWNERDEAD (peer died holding the lock): the state is made
-  // consistent and the transport poisoned with a pinned diagnostic.
-  void lock_mu() const;
-  void unlock_mu() const;
-  std::uint64_t find_match_locked(RankState& rs, int src, int tag,
-                                  std::uint64_t* prev_out) const;
-  std::string dump_locked() const;
-  bool deadlock_locked() const;
-  void abort_locked(bool deadlock, const std::string& reason) const;
+  Slot& slot(int r) const;
+
+  bool lock() const override;
+  void unlock() const override;
+  Wake wait(int rank,
+            std::chrono::steady_clock::time_point deadline) const override;
+  void wake(int rank) const override;
+  RankState& state(int rank) const override;
+  Flags& flags() const override;
+  std::string abort_reason() const override;
+  void set_abort_reason(const std::string& reason) const override;
+  std::string enqueue(int dst, Message m) override;
+  std::uint64_t next_queued(int rank, std::uint64_t node, int* src,
+                            int* tag) const override;
+  Message dequeue(int rank, std::uint64_t node, std::uint64_t prev) override;
 
   Shared* sh_ = nullptr;
   std::size_t map_bytes_ = 0;
-  int nranks_ = 0;
-  double watchdog_seconds_ = 0.0;
 };
 
 }  // namespace sstar::comm

@@ -1,5 +1,5 @@
-// In-process message-passing transport — the runtime substrate of the
-// rank-per-thread SPMD executor (exec/lu_mp).
+// Message-passing transport — the runtime substrate of the SPMD
+// executor (exec/lu_mp).
 //
 // The paper's programs run on Cray T3D/T3E remote-memory puts; SuperLU's
 // descendants run on MPI. This module provides the same abstraction at
@@ -11,8 +11,10 @@
 // ordering guarantee the factor-panel pipeline relies on.
 //
 // `Transport` is the seam where a real MPI backend plugs in later: the
-// executor only ever talks to this interface. `InProcTransport` is the
-// shipped implementation, ranks being threads of one process.
+// executor only ever talks to this interface. `MailboxTransport` holds
+// the mailbox semantics once, over a storage-and-lock backend; two
+// backends ship: `InProcTransport` (ranks are threads of one process)
+// and `ProcTransport` (comm/proc_transport; ranks are OS processes).
 //
 // Deadlock watchdog: a blocking recv can never hang CI. The transport
 // detects true deadlock EXACTLY and immediately — all unfinished ranks
@@ -23,6 +25,7 @@
 // finished, who is still running.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -104,56 +107,125 @@ class Transport {
   virtual RankCommStats stats(int rank) const = 0;
 };
 
+/// The mailbox semantics both shipped transports share, written once:
+/// (source, tag) matching with wildcards (first match = oldest, hence
+/// FIFO per (src, dst, tag)), the exact deadlock predicate, the recv
+/// watchdog, the blocked-recv dump, first-abort-wins poisoning, per-rank
+/// stats and the trace events. A derived class supplies only storage and
+/// locking through the private hooks below, so every diagnostic string
+/// is the same whichever transport ran.
+class MailboxTransport : public Transport {
+ public:
+  int ranks() const final { return nranks_; }
+  void send(int src, int dst, int tag,
+            std::vector<std::uint8_t> payload) final;
+  Message recv(int rank, int src, int tag) final;
+  bool probe(int rank, int src, int tag) final;
+  void finish(int rank) final;
+  void abort(const std::string& reason) final;
+  RankCommStats stats(int rank) const final;
+
+ protected:
+  MailboxTransport(int ranks, double watchdog_seconds);
+
+  /// Per-rank bookkeeping; plain data, so a backend may keep it in
+  /// process-shared memory.
+  struct RankState {
+    std::int32_t waiting = 0;  // blocked in recv right now
+    std::int32_t want_src = kAnySource;
+    std::int32_t want_tag = kAnyTag;
+    std::int32_t finished = 0;
+    std::uint64_t queued = 0;  // messages in the mailbox
+    RankCommStats stats;
+  };
+  /// Transport-wide bookkeeping, plain data like RankState.
+  struct Flags {
+    std::int32_t aborted = 0;
+    std::int32_t aborted_deadlock = 0;
+    std::int32_t num_finished = 0;
+  };
+  enum class Wake { kSignaled, kTimeout, kOwnerDied };
+
+ private:
+  // --- storage-and-lock backend -------------------------------------------
+  // Every hook except lock() runs with the lock held. Queue nodes are
+  // opaque non-zero ids; 0 means "none".
+  /// Take the lock; true when its previous holder died while holding it.
+  virtual bool lock() const = 0;
+  virtual void unlock() const = 0;
+  /// Release the lock, sleep on `rank`'s wakeup until signaled or
+  /// `deadline`, re-acquire.
+  virtual Wake wait(int rank,
+                    std::chrono::steady_clock::time_point deadline) const = 0;
+  virtual void wake(int rank) const = 0;
+  virtual RankState& state(int rank) const = 0;
+  virtual Flags& flags() const = 0;
+  virtual std::string abort_reason() const = 0;
+  virtual void set_abort_reason(const std::string& reason) const = 0;
+  /// Append a message to dst's mailbox; returns "" or why it cannot.
+  virtual std::string enqueue(int dst, Message m) = 0;
+  /// The node queued after `node` (0: the oldest) in `rank`'s mailbox,
+  /// with its source and tag; 0 at the end.
+  virtual std::uint64_t next_queued(int rank, std::uint64_t node, int* src,
+                                    int* tag) const = 0;
+  /// Unlink `node` (queued right after `prev`, 0: it is the oldest).
+  virtual Message dequeue(int rank, std::uint64_t node,
+                          std::uint64_t prev) = 0;
+
+  class Guard;
+  std::uint64_t find_match_locked(int rank, int src, int tag,
+                                  std::uint64_t* prev) const;
+  // True iff deadlock is PROVEN: every unfinished rank sits in recv and
+  // none of them has a satisfiable match queued. The queue check matters
+  // — a rank stays flagged `waiting` from the moment it enters the wait
+  // until it re-acquires the lock after being notified, so "everyone
+  // waiting" alone is not proof while a freshly delivered message is
+  // still unconsumed.
+  bool deadlock_locked() const;
+  // Poison the transport (first reason wins) and wake every rank.
+  void abort_locked(bool deadlock, const std::string& reason) const;
+  // The per-rank state dump appended to every deadlock diagnostic.
+  std::string dump_locked() const;
+
+  int nranks_;
+  double watchdog_seconds_;
+};
+
 /// The in-process implementation: per-rank mailboxes guarded by one
 /// mutex (message counts are small — one factor-panel broadcast per
 /// elimination stage — so a single lock is not a bottleneck), one
 /// condition variable per rank.
-class InProcTransport final : public Transport {
+class InProcTransport final : public MailboxTransport {
  public:
   explicit InProcTransport(int ranks, double watchdog_seconds = 120.0);
-
-  int ranks() const override { return static_cast<int>(box_.size()); }
-  void send(int src, int dst, int tag,
-            std::vector<std::uint8_t> payload) override;
-  Message recv(int rank, int src, int tag) override;
-  bool probe(int rank, int src, int tag) override;
-  void finish(int rank) override;
-  void abort(const std::string& reason) override;
-  RankCommStats stats(int rank) const override;
 
  private:
   struct Mailbox {
     std::deque<Message> q;
     std::condition_variable cv;
-    bool waiting = false;   // blocked in recv right now
-    int want_src = kAnySource;
-    int want_tag = kAnyTag;
+    RankState st;
   };
 
-  // Requires mu_ held. Returns q.end() when nothing matches.
-  static std::deque<Message>::iterator find_match(Mailbox& mb, int src,
-                                                  int tag);
-  // Requires mu_ held. The per-rank state dump for error messages.
-  std::string dump_locked() const;
-  // Requires mu_ held. True iff deadlock is PROVEN: every unfinished
-  // rank sits in recv and none of them has a satisfiable match queued.
-  // The queue check matters — a rank stays flagged `waiting` from the
-  // moment it enters the wait until it re-acquires the mutex after
-  // being notified, so "everyone waiting" alone is not proof while a
-  // freshly delivered message is still unconsumed.
-  bool deadlock_locked();
-  // Requires mu_ held. Poison + wake everyone.
-  void abort_locked(bool deadlock, const std::string& reason);
+  bool lock() const override;
+  void unlock() const override;
+  Wake wait(int rank,
+            std::chrono::steady_clock::time_point deadline) const override;
+  void wake(int rank) const override;
+  RankState& state(int rank) const override;
+  Flags& flags() const override { return flags_; }
+  std::string abort_reason() const override { return abort_reason_; }
+  void set_abort_reason(const std::string& reason) const override {
+    abort_reason_ = reason;
+  }
+  std::string enqueue(int dst, Message m) override;
+  std::uint64_t next_queued(int rank, std::uint64_t node, int* src,
+                            int* tag) const override;
+  Message dequeue(int rank, std::uint64_t node, std::uint64_t prev) override;
 
   mutable std::mutex mu_;
-  std::vector<Mailbox> box_;
-  std::vector<RankCommStats> stats_;
-  std::vector<char> finished_;
-  int num_finished_ = 0;
-  bool aborted_ = false;
-  bool aborted_deadlock_ = false;
-  std::string abort_reason_;
-  double watchdog_seconds_;
+  mutable std::vector<Mailbox> box_;
+  mutable Flags flags_;
+  mutable std::string abort_reason_;
 };
 
 }  // namespace sstar::comm

@@ -104,8 +104,7 @@ void SStarNumeric::factor_block(int k) {
         best_panel = bp;
       }
     }
-    SSTAR_CHECK_MSG(best > 0.0, "matrix is numerically singular at column "
-                                    << base + ml);
+    if (!(best > 0.0)) throw SingularPivotError(base + ml);
 
     const int m = base + ml;
     int t = best_panel >= 0 ? prows[best_panel]

@@ -29,12 +29,14 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "blas/flops.hpp"
 #include "core/block_matrix.hpp"
 #include "core/block_store.hpp"
 #include "core/pivot.hpp"
+#include "util/check.hpp"
 
 namespace sstar {
 
@@ -49,6 +51,21 @@ struct FactorStats {
     const auto t = flops.total();
     return t == 0 ? 0.0 : static_cast<double>(flops.blas3) / t;
   }
+};
+
+/// No admissible pivot for a column: every candidate is zero (or NaN).
+/// column() is in the numbering of the matrix being factored; Solver
+/// rethrows it in the caller's original numbering.
+class SingularPivotError : public CheckError {
+ public:
+  SingularPivotError(int column, const char* numbering = "")
+      : CheckError(std::string("matrix is numerically singular at ") +
+                   numbering + "column " + std::to_string(column)),
+        column_(column) {}
+  int column() const { return column_; }
+
+ private:
+  int column_;
 };
 
 class SStarNumeric {

@@ -120,6 +120,118 @@ std::unique_ptr<SStarNumeric> build_replica(
   return num;
 }
 
+MpStats::RankMemoryStats memory_stats(const DistBlockStore& s) {
+  MpStats::RankMemoryStats m;
+  m.owned_bytes = s.owned_doubles() * 8;
+  m.peak_cache_bytes = s.peak_cache_doubles() * 8;
+  m.peak_bytes = s.peak_doubles() * 8;
+  m.peak_panels_cached = s.peak_panels_cached();
+  m.resident_panels = static_cast<int>(s.resident_remote_panels().size());
+  return m;
+}
+
+// Rank r's share of the factor, in the one order every merge uses: for
+// each supernode k, `block(k)` when r owns k (its diag block, L panel,
+// pivot monitor and pivot rows), then `slice(k, ref)` for each U slice
+// of row block k whose column block r owns. Over all ranks this visits
+// every area of the packed result exactly once.
+template <class Block, class Slice>
+void visit_rank_areas(const BlockLayout& lay, const std::vector<int>& owner,
+                      int r, Block&& block, Slice&& slice) {
+  for (int k = 0; k < lay.num_blocks(); ++k) {
+    if (owner[static_cast<std::size_t>(k)] == r) block(k);
+    for (const BlockRef& ref : lay.u_blocks(k))
+      if (owner[static_cast<std::size_t>(ref.block)] == r) slice(k, ref);
+  }
+}
+
+std::size_t slice_bytes(const BlockLayout& lay, int k, const BlockRef& ref) {
+  return static_cast<std::size_t>(ref.count) *
+         static_cast<std::size_t>(lay.width(k)) * sizeof(double);
+}
+
+// Threads: one per rank over the in-process address space; the merge
+// copies each owner's areas straight from its replica into `result`.
+double run_ranks_threads(const sim::ParallelProgram& prog,
+                         const SparseMatrix& a, SStarNumeric& result,
+                         const MpOptions& opt, const std::vector<int>& owner,
+                         const std::vector<std::vector<int>>& uses,
+                         comm::Transport& tp,
+                         std::vector<MpStats::RankMemoryStats>& memory) {
+  const BlockLayout& lay = result.layout();
+  const int ranks = prog.processors();
+  std::vector<std::unique_ptr<SStarNumeric>> replicas;
+  std::vector<DistBlockStore*> stores;  // non-owning views into replicas
+  replicas.reserve(static_cast<std::size_t>(ranks));
+  stores.reserve(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    DistBlockStore* store = nullptr;
+    replicas.push_back(
+        build_replica(lay, owner, uses, r, result, opt, &store));
+    stores.push_back(store);
+  }
+
+  std::mutex err_mu;
+  std::exception_ptr root_cause;       // a rank's own failure
+  std::exception_ptr any_failure;      // incl. abort propagation
+  WallTimer timer;
+
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    threads.emplace_back([&, r] {
+      try {
+        run_rank(prog, r, *replicas[static_cast<std::size_t>(r)], a, tp);
+      } catch (const comm::TransportError&) {
+        const std::lock_guard<std::mutex> lock(err_mu);
+        if (!any_failure) any_failure = std::current_exception();
+      } catch (const std::exception& e) {
+        {
+          const std::lock_guard<std::mutex> lock(err_mu);
+          if (!root_cause) root_cause = std::current_exception();
+        }
+        std::ostringstream os;
+        os << "rank " << r << " failed: " << e.what();
+        tp.abort(os.str());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const double seconds = timer.seconds();
+
+  if (root_cause) std::rethrow_exception(root_cause);
+  if (any_failure) std::rethrow_exception(any_failure);
+
+  // Every area is a contiguous storage run addressed identically in
+  // both stores — u_block(k, off) with ld = width(k) — so the copies
+  // are bitwise.
+  result.assemble(a);
+  BlockStore& out = result.data();
+  for (int r = 0; r < ranks; ++r) {
+    const SStarNumeric& src = *replicas[static_cast<std::size_t>(r)];
+    const BlockStore& in = src.data();
+    visit_rank_areas(
+        lay, owner, r,
+        [&](int k) {
+          const std::size_t w = static_cast<std::size_t>(lay.width(k));
+          const int s = lay.start(k);
+          std::memcpy(out.diag(k), in.diag(k), w * w * sizeof(double));
+          std::memcpy(out.l_panel(k), in.l_panel(k),
+                      static_cast<std::size_t>(in.l_ld(k)) * w *
+                          sizeof(double));
+          result.adopt_pivots(k, src.pivot_of_col().data() + s);
+          result.adopt_pivot_monitor(k, src.pivot_magnitudes().data() + s,
+                                     src.pivot_colmaxes().data() + s);
+        },
+        [&](int k, const BlockRef& ref) {
+          std::memcpy(out.u_block(k, ref.offset), in.u_block(k, ref.offset),
+                      slice_bytes(lay, k, ref));
+        });
+    memory.push_back(memory_stats(*stores[static_cast<std::size_t>(r)]));
+  }
+  return seconds;
+}
+
 #if SSTAR_MP_PROC_SUPPORTED
 
 // ---- out-of-process execution (one fork per rank) ---------------------
@@ -131,10 +243,9 @@ std::unique_ptr<SStarNumeric> build_replica(
 //
 //   [ RankResult[ranks] | per-rank trace arrays | per-rank factor blobs ]
 //
-// The factor blob is written/read by the SAME canonical loop on both
-// sides (owned supernodes' diag/L/pivots/pivot-monitor, then the U
-// slices the rank owns as column owner — exactly what the merge
-// consumes), so no per-field offsets are exchanged. Error propagation
+// The factor blob is written and read in visit_rank_areas order, the
+// order the threaded merge copies in, so no per-field offsets are
+// exchanged. Error propagation
 // mirrors the threaded path: a rank's own failure (CheckError) is the
 // root cause and aborts the transport; abort propagation and watchdog /
 // deadlock errors are reconstructed from their recorded kind. A rank
@@ -155,17 +266,15 @@ struct RankResult {
 std::size_t ship_bytes(const BlockLayout& lay, const std::vector<int>& owner,
                        int r) {
   std::size_t bytes = 0;
-  for (int k = 0; k < lay.num_blocks(); ++k) {
-    const std::size_t w = static_cast<std::size_t>(lay.width(k));
-    if (owner[static_cast<std::size_t>(k)] == r) {
-      const std::size_t lrows = lay.panel_rows(k).size();
-      bytes += (w * w + lrows * w + 2 * w) * sizeof(double) +
-               w * sizeof(std::int32_t);
-    }
-    for (const BlockRef& ref : lay.u_blocks(k))
-      if (owner[static_cast<std::size_t>(ref.block)] == r)
-        bytes += static_cast<std::size_t>(ref.count) * w * sizeof(double);
-  }
+  visit_rank_areas(
+      lay, owner, r,
+      [&](int k) {
+        const std::size_t w = static_cast<std::size_t>(lay.width(k));
+        const std::size_t lrows = lay.panel_rows(k).size();
+        bytes += (w * w + lrows * w + 2 * w) * sizeof(double) +
+                 w * sizeof(std::int32_t);
+      },
+      [&](int k, const BlockRef& ref) { bytes += slice_bytes(lay, k, ref); });
   return bytes;
 }
 
@@ -183,24 +292,14 @@ std::size_t trace_capacity(const sim::ParallelProgram& prog, int r) {
   return cap;
 }
 
-MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
-                                const SparseMatrix& a, SStarNumeric& result,
-                                const MpOptions& opt,
-                                const std::vector<int>& owner,
-                                const std::vector<std::vector<int>>& uses) {
+double run_ranks_proc(const sim::ParallelProgram& prog, const SparseMatrix& a,
+                      SStarNumeric& result, const MpOptions& opt,
+                      const std::vector<int>& owner,
+                      const std::vector<std::vector<int>>& uses,
+                      comm::Transport& tp,
+                      std::vector<MpStats::RankMemoryStats>& memory) {
   const BlockLayout& lay = result.layout();
   const int ranks = prog.processors();
-
-  std::unique_ptr<comm::ProcTransport> own_tp;
-  comm::Transport* tp = opt.transport;
-  if (tp == nullptr) {
-    own_tp = std::make_unique<comm::ProcTransport>(
-        ranks, opt.watchdog_seconds, opt.proc_pool_bytes);
-    tp = own_tp.get();
-  }
-  SSTAR_CHECK_MSG(tp->ranks() == ranks, "transport has " << tp->ranks()
-                                                         << " ranks, program "
-                                                         << ranks);
 
   const bool tracing = trace::TraceCollector::active() != nullptr;
 
@@ -253,7 +352,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
       DistBlockStore* store = nullptr;
       const std::unique_ptr<SStarNumeric> num =
           build_replica(lay, owner, uses, r, result, opt, &store);
-      run_rank(prog, r, *num, a, *tp);
+      run_rank(prog, r, *num, a, tp);
 
       std::uint8_t* blob = seg + blob_off[static_cast<std::size_t>(r)];
       const auto put = [&blob](const void* p, std::size_t n) {
@@ -261,30 +360,22 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
         blob += n;
       };
       const BlockStore& data = num->data();
-      for (int k = 0; k < lay.num_blocks(); ++k) {
-        const std::size_t w = static_cast<std::size_t>(lay.width(k));
-        if (owner[static_cast<std::size_t>(k)] == r) {
-          put(data.diag(k), w * w * sizeof(double));
-          put(data.l_panel(k),
-              static_cast<std::size_t>(data.l_ld(k)) * w * sizeof(double));
-          put(num->pivot_magnitudes().data() + lay.start(k),
-              w * sizeof(double));
-          put(num->pivot_colmaxes().data() + lay.start(k),
-              w * sizeof(double));
-          put(num->pivot_of_col().data() + lay.start(k),
-              w * sizeof(std::int32_t));
-        }
-        for (const BlockRef& ref : lay.u_blocks(k))
-          if (owner[static_cast<std::size_t>(ref.block)] == r)
-            put(data.u_block(k, ref.offset),
-                static_cast<std::size_t>(ref.count) * w * sizeof(double));
-      }
-      res.mem.owned_bytes = store->owned_doubles() * 8;
-      res.mem.peak_cache_bytes = store->peak_cache_doubles() * 8;
-      res.mem.peak_bytes = store->peak_doubles() * 8;
-      res.mem.peak_panels_cached = store->peak_panels_cached();
-      res.mem.resident_panels =
-          static_cast<int>(store->resident_remote_panels().size());
+      visit_rank_areas(
+          lay, owner, r,
+          [&](int k) {
+            const std::size_t w = static_cast<std::size_t>(lay.width(k));
+            const int s = lay.start(k);
+            put(data.diag(k), w * w * sizeof(double));
+            put(data.l_panel(k),
+                static_cast<std::size_t>(data.l_ld(k)) * w * sizeof(double));
+            put(num->pivot_magnitudes().data() + s, w * sizeof(double));
+            put(num->pivot_colmaxes().data() + s, w * sizeof(double));
+            put(num->pivot_of_col().data() + s, w * sizeof(std::int32_t));
+          },
+          [&](int k, const BlockRef& ref) {
+            put(data.u_block(k, ref.offset), slice_bytes(lay, k, ref));
+          });
+      res.mem = memory_stats(*store);
       res.status = 1;
     } catch (const comm::DeadlockError& e) {
       res.error_kind = 3;
@@ -301,7 +392,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
       std::strncpy(res.error_msg, os.str().c_str(),
                    sizeof(res.error_msg) - 1);
       res.status = 2;
-      tp->abort(os.str());
+      tp.abort(os.str());
     }
     if (tracing) {
       // The collector (and this thread's buffer) came across the fork;
@@ -355,7 +446,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
         os << "exit code " << (WIFEXITED(st) ? WEXITSTATUS(st) : -1);
       os << ") before completing its program";
       if (death_msg.empty()) death_msg = os.str();
-      tp->abort(os.str());
+      tp.abort(os.str());
     }
   }
   const double seconds = timer.seconds();
@@ -395,8 +486,7 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
                             << trace_cap[static_cast<std::size_t>(r)]
                             << "-event trace shipping buffer");
 
-  // Merge the shipped factor blobs — the mirror of the child's writer
-  // loop, byte for byte.
+  // Merge the shipped factor blobs — read in the order the ranks wrote.
   result.assemble(a);
   BlockStore& out = result.data();
   std::vector<double> dtmp;
@@ -407,35 +497,37 @@ MpStats execute_program_mp_proc(const sim::ParallelProgram& prog,
       std::memcpy(p, blob, n);
       blob += n;
     };
-    for (int k = 0; k < lay.num_blocks(); ++k) {
-      const std::size_t w = static_cast<std::size_t>(lay.width(k));
-      if (owner[static_cast<std::size_t>(k)] == r) {
-        get(out.diag(k), w * w * sizeof(double));
-        get(out.l_panel(k),
-            static_cast<std::size_t>(out.l_ld(k)) * w * sizeof(double));
-        dtmp.resize(2 * w);
-        get(dtmp.data(), 2 * w * sizeof(double));
-        itmp.resize(w);
-        get(itmp.data(), w * sizeof(std::int32_t));
-        result.adopt_pivots(k, itmp.data());
-        result.adopt_pivot_monitor(k, dtmp.data(), dtmp.data() + w);
-      }
-      for (const BlockRef& ref : lay.u_blocks(k))
-        if (owner[static_cast<std::size_t>(ref.block)] == r)
-          get(out.u_block(k, ref.offset),
-              static_cast<std::size_t>(ref.count) * w * sizeof(double));
-    }
+    visit_rank_areas(
+        lay, owner, r,
+        [&](int k) {
+          const std::size_t w = static_cast<std::size_t>(lay.width(k));
+          get(out.diag(k), w * w * sizeof(double));
+          get(out.l_panel(k),
+              static_cast<std::size_t>(out.l_ld(k)) * w * sizeof(double));
+          dtmp.resize(2 * w);
+          get(dtmp.data(), 2 * w * sizeof(double));
+          itmp.resize(w);
+          get(itmp.data(), w * sizeof(std::int32_t));
+          result.adopt_pivots(k, itmp.data());
+          result.adopt_pivot_monitor(k, dtmp.data(), dtmp.data() + w);
+        },
+        [&](int k, const BlockRef& ref) {
+          get(out.u_block(k, ref.offset), slice_bytes(lay, k, ref));
+        });
+    memory.push_back(results[r].mem);
   }
+  return seconds;
+}
 
-  MpStats stats;
-  stats.seconds = seconds;
-  stats.rank_stats.reserve(static_cast<std::size_t>(ranks));
-  stats.memory.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    stats.rank_stats.push_back(tp->stats(r));
-    stats.memory.push_back(results[r].mem);
-  }
-  return stats;
+#else
+
+double run_ranks_proc(const sim::ParallelProgram&, const SparseMatrix&,
+                      SStarNumeric&, const MpOptions&, const std::vector<int>&,
+                      const std::vector<std::vector<int>>&, comm::Transport&,
+                      std::vector<MpStats::RankMemoryStats>&) {
+  throw comm::TransportError(
+      "out-of-process execution requires fork and process-shared "
+      "pthread primitives (Linux); use TransportKind::kInProc here");
 }
 
 #endif  // SSTAR_MP_PROC_SUPPORTED
@@ -482,113 +574,28 @@ MpStats execute_program_mp(const sim::ParallelProgram& prog,
                     "no rank factors supernode " << k);
   const std::vector<std::vector<int>> uses = sim::panel_consumer_counts(prog);
 
-  if (opt.transport_kind == MpOptions::TransportKind::kProc) {
-#if SSTAR_MP_PROC_SUPPORTED
-    return execute_program_mp_proc(prog, a, result, opt, owner, uses);
-#else
-    throw comm::TransportError(
-        "out-of-process execution requires fork and process-shared "
-        "pthread primitives (Linux); use TransportKind::kInProc here");
-#endif
-  }
-
-  std::unique_ptr<comm::InProcTransport> own_tp;
+  const bool proc = opt.transport_kind == MpOptions::TransportKind::kProc;
+  std::unique_ptr<comm::Transport> own_tp;
   comm::Transport* tp = opt.transport;
   if (tp == nullptr) {
-    own_tp =
-        std::make_unique<comm::InProcTransport>(ranks, opt.watchdog_seconds);
+    if (proc)
+      own_tp = std::make_unique<comm::ProcTransport>(
+          ranks, opt.watchdog_seconds, opt.proc_pool_bytes);
+    else
+      own_tp =
+          std::make_unique<comm::InProcTransport>(ranks, opt.watchdog_seconds);
     tp = own_tp.get();
   }
   SSTAR_CHECK_MSG(tp->ranks() == ranks, "transport has " << tp->ranks()
                                                          << " ranks, program "
                                                          << ranks);
 
-  std::vector<std::unique_ptr<SStarNumeric>> replicas;
-  std::vector<DistBlockStore*> stores;  // non-owning views into replicas
-  replicas.reserve(static_cast<std::size_t>(ranks));
-  stores.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    DistBlockStore* store = nullptr;
-    replicas.push_back(
-        build_replica(lay, owner, uses, r, result, opt, &store));
-    stores.push_back(store);
-  }
-
-  std::mutex err_mu;
-  std::exception_ptr root_cause;       // a rank's own failure
-  std::exception_ptr any_failure;      // incl. abort propagation
-  WallTimer timer;
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        run_rank(prog, r, *replicas[static_cast<std::size_t>(r)], a, *tp);
-      } catch (const comm::TransportError&) {
-        const std::lock_guard<std::mutex> lock(err_mu);
-        if (!any_failure) any_failure = std::current_exception();
-      } catch (const std::exception& e) {
-        {
-          const std::lock_guard<std::mutex> lock(err_mu);
-          if (!root_cause) root_cause = std::current_exception();
-        }
-        std::ostringstream os;
-        os << "rank " << r << " failed: " << e.what();
-        tp->abort(os.str());
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  const double seconds = timer.seconds();
-
-  if (root_cause) std::rethrow_exception(root_cause);
-  if (any_failure) std::rethrow_exception(any_failure);
-
-  // Merge: each supernode's factor columns, gathered from their owner's
-  // store into the caller's (packed) result. Every area is a contiguous
-  // storage run addressed identically in both stores — u_block(k, off)
-  // with ld = width(k) — so the copies are bitwise.
-  result.assemble(a);
-  BlockStore& out = result.data();
-  for (int k = 0; k < lay.num_blocks(); ++k) {
-    const SStarNumeric& src = *replicas[static_cast<std::size_t>(
-        owner[static_cast<std::size_t>(k)])];
-    const int w = lay.width(k);
-    std::memcpy(out.diag(k), src.data().diag(k),
-                static_cast<std::size_t>(out.diag_ld(k)) * w * sizeof(double));
-    std::memcpy(out.l_panel(k), src.data().l_panel(k),
-                static_cast<std::size_t>(out.l_ld(k)) * w * sizeof(double));
-    result.adopt_pivots(k, src.pivot_of_col().data() + lay.start(k));
-    result.adopt_pivot_monitor(k,
-                               src.pivot_magnitudes().data() + lay.start(k),
-                               src.pivot_colmaxes().data() + lay.start(k));
-    for (const BlockRef& ref : lay.u_blocks(k)) {
-      const SStarNumeric& col_owner = *replicas[static_cast<std::size_t>(
-          owner[static_cast<std::size_t>(ref.block)])];
-      std::memcpy(out.u_block(k, ref.offset),
-                  col_owner.data().u_block(k, ref.offset),
-                  static_cast<std::size_t>(ref.count) * out.u_ld(k) *
-                      sizeof(double));
-    }
-  }
-
   MpStats stats;
-  stats.seconds = seconds;
-  stats.rank_stats.reserve(static_cast<std::size_t>(ranks));
   stats.memory.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    stats.rank_stats.push_back(tp->stats(r));
-    const DistBlockStore& s = *stores[static_cast<std::size_t>(r)];
-    MpStats::RankMemoryStats m;
-    m.owned_bytes = s.owned_doubles() * 8;
-    m.peak_cache_bytes = s.peak_cache_doubles() * 8;
-    m.peak_bytes = s.peak_doubles() * 8;
-    m.peak_panels_cached = s.peak_panels_cached();
-    m.resident_panels =
-        static_cast<int>(s.resident_remote_panels().size());
-    stats.memory.push_back(m);
-  }
+  stats.seconds = (proc ? run_ranks_proc : run_ranks_threads)(
+      prog, a, result, opt, owner, uses, *tp, stats.memory);
+  stats.rank_stats.reserve(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) stats.rank_stats.push_back(tp->stats(r));
   return stats;
 }
 

@@ -54,43 +54,109 @@ std::vector<std::vector<int>> panel_consumer_counts(
   return counts;
 }
 
+PanelTimeline panel_timeline(
+    const ParallelProgram& prog,
+    const std::vector<std::vector<int>>& consumer_counts) {
+  PanelTimeline tl;
+  tl.owner = panel_owners(prog);
+  const int nb = static_cast<int>(tl.owner.size());
+  tl.per_rank.resize(static_cast<std::size_t>(prog.processors()));
+  tl.resident_at_end.resize(static_cast<std::size_t>(prog.processors()));
+  for (int p = 0; p < prog.processors(); ++p) {
+    std::vector<PanelEvent>& events = tl.per_rank[static_cast<std::size_t>(p)];
+    std::vector<Residency> held(static_cast<std::size_t>(nb),
+                                Residency::kNever);
+    std::vector<int> remaining(static_cast<std::size_t>(nb), 0);
+    const auto seen = [&](int k) {
+      return k >= 0 && k < nb ? held[static_cast<std::size_t>(k)]
+                              : Residency::kNever;
+    };
+    const auto emit = [&](PanelEvent::Kind kind, TaskId t, int k) {
+      events.push_back(PanelEvent{kind, p, t, k, seen(k), {}, true, 0});
+      return &events.back();
+    };
+    const auto comm = [&](TaskId t, const std::vector<CommOp>& ops,
+                          bool pre) {
+      for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+        const CommOp& op = ops[static_cast<std::size_t>(i)];
+        const bool recv = op.kind == CommOp::Kind::kRecv;
+        PanelEvent* e = emit(
+            recv ? PanelEvent::Kind::kRecv : PanelEvent::Kind::kSend, t, op.k);
+        e->op = op;
+        e->pre = pre;
+        e->index = i;
+        if (!recv || op.k < 0 || op.k >= nb) continue;
+        const std::size_t k = static_cast<std::size_t>(op.k);
+        held[k] = Residency::kResident;
+        remaining[k] = k < consumer_counts.size() &&
+                               static_cast<std::size_t>(p) <
+                                   consumer_counts[k].size()
+                           ? consumer_counts[k][static_cast<std::size_t>(p)]
+                           : 0;
+      }
+    };
+
+    for (const TaskId t : prog.proc_order(p)) {
+      const TaskDef& def = prog.task(t);
+      comm(t, def.pre_comms, /*pre=*/true);
+      for (const KernelCall& kc : def.kernels) {
+        const std::size_t k = static_cast<std::size_t>(kc.k);
+        if (kc.kind == KernelCall::Kind::kFactor) {
+          emit(PanelEvent::Kind::kFactor, t, kc.k);
+          held[k] = Residency::kOwned;
+          continue;
+        }
+        if (tl.owner[k] == p) {
+          SSTAR_CHECK_MSG(held[k] == Residency::kOwned,
+                          "rank " << p << " consumes panel " << kc.k
+                                  << " before its own Factor task");
+          continue;
+        }
+        emit(PanelEvent::Kind::kConsume, t, kc.k);
+        if (held[k] == Residency::kResident && --remaining[k] == 0) {
+          emit(PanelEvent::Kind::kRelease, t, kc.k);
+          held[k] = Residency::kReleased;
+        }
+      }
+      comm(t, def.post_comms, /*pre=*/false);
+    }
+    for (int k = 0; k < nb; ++k)
+      if (held[static_cast<std::size_t>(k)] == Residency::kResident)
+        tl.resident_at_end[static_cast<std::size_t>(p)].push_back(k);
+  }
+  return tl;
+}
+
 void attach_panel_comms(ParallelProgram& prog, const Grid& grid) {
   SSTAR_CHECK_MSG(grid.size() == prog.processors(),
                   "comm plan grid " << grid.rows << "x" << grid.cols
                                     << " != " << prog.processors()
                                     << " program ranks");
-  const std::vector<int> owner = panel_owners(prog);
-  const int nb = static_cast<int>(owner.size());
-
   for (TaskId t = 0; t < static_cast<TaskId>(prog.num_tasks()); ++t) {
     prog.mutable_task(t).pre_comms.clear();
     prog.mutable_task(t).post_comms.clear();
   }
 
-  // First-use walk: per rank, the first task whose kUpdate kernels
-  // consume a panel the rank does not (yet) hold locally.
+  // First use: per rank, the first task whose Update kernels consume a
+  // remote panel — the timeline of the comm-free program.
+  const PanelTimeline tl = panel_timeline(prog);
+  const std::vector<int>& owner = tl.owner;
+  const int nb = static_cast<int>(owner.size());
   struct Need {
     int rank = -1;
     TaskId task = -1;
   };
   std::vector<TaskId> factor_task(static_cast<std::size_t>(nb), -1);
   std::vector<std::vector<Need>> needs(static_cast<std::size_t>(nb));
-  std::vector<char> have(static_cast<std::size_t>(nb));
   for (int p = 0; p < prog.processors(); ++p) {
-    std::fill(have.begin(), have.end(), 0);
-    for (const TaskId t : prog.proc_order(p)) {
-      for (const KernelCall& kc : prog.task(t).kernels) {
-        if (kc.kind == KernelCall::Kind::kFactor) {
-          factor_task[static_cast<std::size_t>(kc.k)] = t;
-          have[static_cast<std::size_t>(kc.k)] = 1;
-          continue;
-        }
-        if (have[static_cast<std::size_t>(kc.k)]) continue;
-        SSTAR_CHECK_MSG(owner[static_cast<std::size_t>(kc.k)] != p,
-                        "rank " << p << " consumes panel " << kc.k
-                                << " before its own Factor task");
-        needs[static_cast<std::size_t>(kc.k)].push_back(Need{p, t});
-        have[static_cast<std::size_t>(kc.k)] = 1;
+    std::vector<char> needed(static_cast<std::size_t>(nb), 0);
+    for (const PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)]) {
+      const std::size_t k = static_cast<std::size_t>(e.panel);
+      if (e.kind == PanelEvent::Kind::kFactor) {
+        factor_task[k] = e.task;
+      } else if (e.kind == PanelEvent::Kind::kConsume && !needed[k]) {
+        needs[k].push_back(Need{p, e.task});
+        needed[k] = 1;
       }
     }
   }

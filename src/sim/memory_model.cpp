@@ -69,8 +69,8 @@ double buffer_bound_2d(const BlockLayout& layout, const Grid& grid) {
 
 MpMemoryPrediction predict_mp_memory(const BlockLayout& layout,
                                      const ParallelProgram& prog) {
-  const std::vector<int> owner = panel_owners(prog);
-  const std::vector<std::vector<int>> counts = panel_consumer_counts(prog);
+  const PanelTimeline tl = panel_timeline(prog, panel_consumer_counts(prog));
+  const std::vector<int>& owner = tl.owner;
   const int nb = layout.num_blocks();
   SSTAR_CHECK_MSG(static_cast<int>(owner.size()) == nb,
                   "predict_mp_memory: program covers "
@@ -98,38 +98,22 @@ MpMemoryPrediction predict_mp_memory(const BlockLayout& layout,
               8 * static_cast<std::int64_t>(layout.width(b)) * ref.count;
     }
 
-    // Panel-cache high water: replay the rank's program order — a recv
-    // materializes panel k at its refcount, the k-th consuming Update
-    // decrements, zero frees. This is the same protocol the store runs,
-    // so the peak is exact, not a bound.
-    std::vector<int> remaining(static_cast<std::size_t>(nb), 0);
-    std::int64_t cache = 0, peak = 0;
-    int panels = 0, peak_panels = 0;
-    const auto on_recv = [&](int k) {
-      remaining[static_cast<std::size_t>(k)] =
-          counts[static_cast<std::size_t>(k)][static_cast<std::size_t>(p)];
-      cache += panel_bytes(k);
-      peak = std::max(peak, cache);
-      peak_panels = std::max(peak_panels, ++panels);
-    };
-    for (const TaskId t : prog.proc_order(p)) {
-      const TaskDef& def = prog.task(t);
-      for (const CommOp& op : def.pre_comms)
-        if (op.kind == CommOp::Kind::kRecv) on_recv(op.k);
-      for (const KernelCall& kc : def.kernels) {
-        if (kc.kind != KernelCall::Kind::kUpdate) continue;
-        if (owner[static_cast<std::size_t>(kc.k)] == p) continue;
-        if (--remaining[static_cast<std::size_t>(kc.k)] == 0) {
-          cache -= panel_bytes(kc.k);
-          --panels;
-        }
+    // Panel-cache high water: each recv caches a panel and each release
+    // frees one, at the points the store does, so the peak is exact.
+    std::int64_t cache = 0;
+    int panels = 0;
+    for (const PanelEvent& e : tl.per_rank[static_cast<std::size_t>(p)]) {
+      if (e.kind == PanelEvent::Kind::kRecv) {
+        cache += panel_bytes(e.panel);
+        ++panels;
+        r.peak_cache_bytes = std::max(r.peak_cache_bytes, cache);
+        r.peak_panels_cached = std::max(r.peak_panels_cached, panels);
+      } else if (e.kind == PanelEvent::Kind::kRelease) {
+        cache -= panel_bytes(e.panel);
+        --panels;
       }
-      for (const CommOp& op : def.post_comms)
-        if (op.kind == CommOp::Kind::kRecv) on_recv(op.k);
     }
-    r.peak_cache_bytes = peak;
-    r.peak_bytes = r.owned_bytes + peak;
-    r.peak_panels_cached = peak_panels;
+    r.peak_bytes = r.owned_bytes + r.peak_cache_bytes;
   }
   return pred;
 }

@@ -41,11 +41,12 @@ double buffer_bound_2d(const BlockLayout& layout, const Grid& grid);
 
 /// Exact per-rank store footprint of a built MP program executed over
 /// DistBlockStore (core/block_store.hpp): the fixed owner-area bytes
-/// plus the panel-cache high water obtained by replaying the program's
-/// comm plan against the refcounted release protocol. This is the
-/// PREDICTION the measured MpStats::memory is validated against — the
-/// replay is deterministic, so predicted == measured bit-for-bit
-/// (tests/test_mp_memory, bench/bench_mp).
+/// plus the panel-cache high water, summed over the recv and release
+/// events of the panel timeline (sim::panel_timeline) under the store's
+/// refcounts. This is the PREDICTION the measured MpStats::memory is
+/// validated against — the timeline frees each panel where the store
+/// does, so predicted == measured bit-for-bit (tests/test_mp_memory,
+/// bench/bench_mp).
 struct MpMemoryPrediction {
   struct Rank {
     std::int64_t owned_bytes = 0;

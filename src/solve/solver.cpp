@@ -19,6 +19,16 @@ SolverSetup prepare(const SparseMatrix& a, const SolverOptions& opt) {
   SSTAR_CHECK(a.rows() == a.cols());
   SSTAR_CHECK(opt.max_block >= 1);
   const int n = a.rows();
+  // A NaN or infinity fails here, in the caller's numbering: the factor
+  // would report a NaN as a singular column of the permuted matrix and
+  // run straight through an infinity.
+  for (int j = 0; j < n; ++j)
+    for (int k = a.col_begin(j); k < a.col_end(j); ++k)
+      SSTAR_CHECK_MSG(std::isfinite(a.values()[k]),
+                      "non-finite value " << a.values()[k]
+                                          << " at original (row "
+                                          << a.row_idx()[k] << ", col " << j
+                                          << ")");
 
   SolverSetup setup;
   // 0. Optional equilibration: rows to unit max magnitude, then columns.
@@ -125,7 +135,11 @@ Solver::Solver(const SparseMatrix& a, SolverOptions opt)
 }
 
 void Solver::factorize() {
-  numeric_.factorize();
+  try {
+    numeric_.factorize();
+  } catch (const SingularPivotError& e) {
+    throw SingularPivotError(setup_.col_perm[e.column()], "original ");
+  }
   factorized_ = true;
 }
 
@@ -133,8 +147,7 @@ void Solver::refactorize(const PivotPolicy& policy) {
   opt_.pivot = policy;
   numeric_.set_pivot_policy(policy);
   numeric_.assemble(setup_.permuted);  // re-load values, reset pivots
-  numeric_.factorize();
-  factorized_ = true;
+  factorize();
 }
 
 std::vector<double> Solver::solve(const std::vector<double>& b) const {

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/panel_lifetime.hpp"
+#include "analysis/comm_audit.hpp"
 #include "core/block_store.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"

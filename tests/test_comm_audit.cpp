@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "analysis/comm_audit.hpp"
-#include "analysis/panel_lifetime.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
 #include "core/task_graph.hpp"

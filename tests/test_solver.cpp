@@ -2,6 +2,8 @@
 // options and the generated benchmark suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +69,68 @@ TEST(Solver, RejectsStructurallySingular) {
   const auto a = SparseMatrix::from_triplets(
       3, 3, {{0, 0, 1.0}, {1, 0, 1.0}, {0, 1, 1.0}, {1, 1, 1.0}});
   EXPECT_THROW(Solver{a}, CheckError);
+}
+
+// Hostile values fail fast with the entry named in the caller's
+// numbering, before any ordering permutes it.
+std::string prepare_error(const SparseMatrix& a) {
+  try {
+    (void)prepare(a, SolverOptions{});
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
+SparseMatrix tridiagonal_with(int n, int row, int col, double v) {
+  std::vector<Triplet> t;
+  for (int i = 0; i < n; ++i) {
+    t.push_back({i, i, 4.0});
+    if (i > 0) t.push_back({i, i - 1, -1.0});
+    if (i + 1 < n) t.push_back({i, i + 1, -1.0});
+  }
+  t.push_back({row, col, v});  // summed into the stored entry
+  return SparseMatrix::from_triplets(n, n, std::move(t));
+}
+
+TEST(Solver, RejectsNaNNamingOriginalEntry) {
+  const std::string what =
+      prepare_error(tridiagonal_with(8, 2, 1, std::nan("")));
+  EXPECT_NE(what.find("non-finite value nan at original (row 2, col 1)"),
+            std::string::npos)
+      << what;
+}
+
+TEST(Solver, RejectsInfinityNamingOriginalEntry) {
+  const std::string what = prepare_error(
+      tridiagonal_with(8, 0, 0, std::numeric_limits<double>::infinity()));
+  EXPECT_NE(what.find("non-finite value inf at original (row 0, col 0)"),
+            std::string::npos)
+      << what;
+}
+
+// A numerically singular column is named in the caller's numbering, not
+// by its position in the permuted matrix the factor runs on.
+TEST(Solver, SingularPivotNamesOriginalColumn) {
+  // Arrow matrix whose dense column 0 holds only stored zeros: the
+  // ordering moves it last, and it is the one dependent column.
+  const int n = 8;
+  std::vector<Triplet> t = {{0, 0, 0.0}};
+  for (int i = 1; i < n; ++i) {
+    t.push_back({i, i, 4.0});
+    t.push_back({0, i, 1.0});
+    t.push_back({i, 0, 0.0});
+  }
+  Solver solver(SparseMatrix::from_triplets(n, n, std::move(t)));
+  const std::vector<int>& q = solver.setup().col_perm;
+  ASSERT_NE(q[0], 0) << "the ordering kept column 0 in place";
+  try {
+    solver.factorize();
+    FAIL() << "factorize() accepted a singular matrix";
+  } catch (const SingularPivotError& e) {
+    EXPECT_STREQ(e.what(),
+                 "matrix is numerically singular at original column 0");
+  }
 }
 
 TEST(Solver, OrderingReducesFillOnStencil) {

@@ -1,11 +1,19 @@
-// Unit and fault tests for the in-process message-passing transport
-// (comm/transport): MPI-like (source, tag) matching with wildcards,
-// FIFO delivery per (source, destination, tag), per-rank traffic
-// counters, and — the CI-safety property — that a blocked recv() can
-// NEVER hang: provable deadlocks (all live ranks blocked, or blocked
-// ranks waiting on finished peers) abort immediately with a per-rank
-// dump, a wall-clock watchdog bounds everything else, and abort()
-// wakes every blocked receiver.
+// One unit and fault suite for both shipped transports (comm/transport
+// and comm/proc_transport): MPI-like (source, tag) matching with
+// wildcards, FIFO delivery per (source, destination, tag), per-rank
+// traffic counters, and — the CI-safety property — that a blocked
+// recv() can NEVER hang: provable deadlocks (all live ranks blocked, or
+// blocked ranks waiting on finished peers) abort immediately with a
+// per-rank dump, a wall-clock watchdog bounds everything else, and
+// abort() wakes every blocked receiver.
+//
+// Every case is written once over the transport type T and registered
+// twice: as Transport.<Case> over InProcTransport and as
+// TransportProc.<Case> over ProcTransport (whose primitives are
+// process-shared, so threads drive it as well as processes). A gtest
+// typed suite would rename every case to Transport/<type>.<Case>; the
+// macro keeps the names CI filters select. The proc-only cases live in
+// test_transport_proc.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/proc_transport.hpp"
 #include "comm/transport.hpp"
 
 namespace sstar::comm {
@@ -25,8 +34,23 @@ std::vector<std::uint8_t> bytes(std::initializer_list<int> v) {
   return out;
 }
 
-TEST(Transport, SendRecvRoundtrip) {
-  InProcTransport tp(2);
+#if defined(__linux__)
+#define TRANSPORT_PROC_CASE(name) \
+  TEST(TransportProc, name) { name##_case<ProcTransport>(); }
+#else
+#define TRANSPORT_PROC_CASE(name)
+#endif
+
+#define TRANSPORT_CASE(name)                                 \
+  template <class T>                                         \
+  void name##_case();                                        \
+  TEST(Transport, name) { name##_case<InProcTransport>(); }  \
+  TRANSPORT_PROC_CASE(name)                                  \
+  template <class T>                                         \
+  void name##_case()
+
+TRANSPORT_CASE(SendRecvRoundtrip) {
+  T tp(2);
   std::thread sender([&] { tp.send(0, 1, 42, bytes({1, 2, 3})); });
   const Message m = tp.recv(1, 0, 42);
   sender.join();
@@ -35,8 +59,8 @@ TEST(Transport, SendRecvRoundtrip) {
   EXPECT_EQ(m.payload, bytes({1, 2, 3}));
 }
 
-TEST(Transport, TagMatchingSelectsAcrossQueueOrder) {
-  InProcTransport tp(1);
+TRANSPORT_CASE(TagMatchingSelectsAcrossQueueOrder) {
+  T tp(1);
   tp.send(0, 0, 1, bytes({10}));
   tp.send(0, 0, 2, bytes({20}));
   // Ask for tag 2 first: matching must skip the queued tag-1 message.
@@ -44,23 +68,23 @@ TEST(Transport, TagMatchingSelectsAcrossQueueOrder) {
   EXPECT_EQ(tp.recv(0, 0, 1).payload, bytes({10}));
 }
 
-TEST(Transport, SourceMatching) {
-  InProcTransport tp(3);
+TRANSPORT_CASE(SourceMatching) {
+  T tp(3);
   tp.send(1, 2, 7, bytes({1}));
   tp.send(0, 2, 7, bytes({0}));
   EXPECT_EQ(tp.recv(2, 0, 7).payload, bytes({0}));
   EXPECT_EQ(tp.recv(2, 1, 7).payload, bytes({1}));
 }
 
-TEST(Transport, FifoPerSourceDestinationTag) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(FifoPerSourceDestinationTag) {
+  T tp(2);
   for (int i = 0; i < 5; ++i) tp.send(0, 1, 9, bytes({i}));
   for (int i = 0; i < 5; ++i)
     EXPECT_EQ(tp.recv(1, 0, 9).payload, bytes({i})) << "message " << i;
 }
 
-TEST(Transport, Wildcards) {
-  InProcTransport tp(3);
+TRANSPORT_CASE(Wildcards) {
+  T tp(3);
   tp.send(2, 0, 5, bytes({2}));
   const Message any_src = tp.recv(0, kAnySource, 5);
   EXPECT_EQ(any_src.src, 2);
@@ -78,8 +102,8 @@ TEST(Transport, Wildcards) {
 // WITHIN each (src, dst, tag) channel stays FIFO. This is the exact
 // guarantee the static comm auditor (analysis/comm_audit) assumes when
 // it pairs the i-th send on a channel with the i-th recv.
-TEST(Transport, FifoPreservedAcrossInterleavedTags) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(FifoPreservedAcrossInterleavedTags) {
+  T tp(2);
   tp.send(0, 1, 7, bytes({70}));
   tp.send(0, 1, 9, bytes({90}));
   tp.send(0, 1, 7, bytes({71}));
@@ -97,8 +121,8 @@ TEST(Transport, FifoPreservedAcrossInterleavedTags) {
 // never post wildcards. The stolen channel's recv then provably
 // deadlocks (sender finished, nothing queued), so the mistake is loud,
 // not a silent mismatch.
-TEST(Transport, WildcardRecvStealsTaggedMessageAndExactRecvDeadlocks) {
-  InProcTransport tp(2, /*watchdog_seconds=*/600.0);
+TRANSPORT_CASE(WildcardRecvStealsTaggedMessageAndExactRecvDeadlocks) {
+  T tp(2, /*watchdog_seconds=*/600.0);
   tp.send(0, 1, 7, bytes({70}));  // oldest: the exact recv's message
   tp.send(0, 1, 9, bytes({90}));
   tp.finish(0);
@@ -111,8 +135,8 @@ TEST(Transport, WildcardRecvStealsTaggedMessageAndExactRecvDeadlocks) {
   EXPECT_THROW((void)tp.recv(1, 0, 7), DeadlockError);
 }
 
-TEST(Transport, ProbeIsNonBlocking) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(ProbeIsNonBlocking) {
+  T tp(2);
   EXPECT_FALSE(tp.probe(1, 0, 4));
   EXPECT_FALSE(tp.probe(1, kAnySource, kAnyTag));
   tp.send(0, 1, 4, bytes({1}));
@@ -123,8 +147,8 @@ TEST(Transport, ProbeIsNonBlocking) {
   EXPECT_FALSE(tp.probe(1, 0, 4));
 }
 
-TEST(Transport, StatsCountMessagesAndBytes) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(StatsCountMessagesAndBytes) {
+  T tp(2);
   tp.send(0, 1, 1, bytes({1, 2, 3, 4}));
   tp.send(0, 1, 1, bytes({5}));
   (void)tp.recv(1, 0, 1);
@@ -139,8 +163,8 @@ TEST(Transport, StatsCountMessagesAndBytes) {
 // block), detected exactly and immediately — the generous watchdog
 // bound must play no role, so a hung program fails CI in milliseconds,
 // not after a timeout.
-TEST(Transport, DeadlockAllBlockedDetectedImmediately) {
-  InProcTransport tp(2, /*watchdog_seconds=*/600.0);
+TRANSPORT_CASE(DeadlockAllBlockedDetectedImmediately) {
+  T tp(2, /*watchdog_seconds=*/600.0);
   std::string what0, what1;
   std::thread r0([&] {
     try {
@@ -173,8 +197,8 @@ TEST(Transport, DeadlockAllBlockedDetectedImmediately) {
 
 // A rank blocked on a peer that already finished its program can never
 // be served either; also provable, also immediate.
-TEST(Transport, DeadlockWaitingOnFinishedPeer) {
-  InProcTransport tp(2, /*watchdog_seconds=*/600.0);
+TRANSPORT_CASE(DeadlockWaitingOnFinishedPeer) {
+  T tp(2, /*watchdog_seconds=*/600.0);
   std::thread r0([&] {
     EXPECT_THROW((void)tp.recv(0, 1, 33), DeadlockError);
   });
@@ -189,8 +213,8 @@ TEST(Transport, DeadlockWaitingOnFinishedPeer) {
 // live rank then enters recv, counting flags alone "proves" deadlock
 // even though rank 0 is about to consume its message. The detector must
 // check queued matches, not just the flags.
-TEST(Transport, RankWithSatisfiableMessageQueuedIsNotDeadlocked) {
-  InProcTransport tp(2, /*watchdog_seconds=*/600.0);
+TRANSPORT_CASE(RankWithSatisfiableMessageQueuedIsNotDeadlocked) {
+  T tp(2, /*watchdog_seconds=*/600.0);
   std::thread r0([&] {
     const Message m = tp.recv(0, 1, 7);  // blocks: nothing sent yet
     EXPECT_EQ(m.payload, bytes({70}));
@@ -211,8 +235,8 @@ TEST(Transport, RankWithSatisfiableMessageQueuedIsNotDeadlocked) {
 // No provable deadlock (one rank keeps "running" and never blocks), but
 // no progress either: the wall-clock watchdog converts the hang into a
 // DeadlockError naming the stuck rank.
-TEST(Transport, WatchdogBoundsSilentHangs) {
-  InProcTransport tp(2, /*watchdog_seconds=*/0.2);
+TRANSPORT_CASE(WatchdogBoundsSilentHangs) {
+  T tp(2, /*watchdog_seconds=*/0.2);
   try {
     (void)tp.recv(0, 1, 44);  // rank 1 never blocks, finishes, or sends
     FAIL() << "recv returned";
@@ -224,8 +248,8 @@ TEST(Transport, WatchdogBoundsSilentHangs) {
   }
 }
 
-TEST(Transport, AbortWakesBlockedReceivers) {
-  InProcTransport tp(2, /*watchdog_seconds=*/600.0);
+TRANSPORT_CASE(AbortWakesBlockedReceivers) {
+  T tp(2, /*watchdog_seconds=*/600.0);
   std::string what;
   std::thread r0([&] {
     try {
@@ -245,16 +269,16 @@ TEST(Transport, AbortWakesBlockedReceivers) {
   EXPECT_NE(what.find("rank 1 exploded"), std::string::npos) << what;
 }
 
-TEST(Transport, CallsAfterAbortThrow) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(CallsAfterAbortThrow) {
+  T tp(2);
   tp.abort("poisoned");
   EXPECT_THROW(tp.send(0, 1, 1, bytes({1})), TransportError);
   EXPECT_THROW((void)tp.recv(1, 0, 1), TransportError);
   EXPECT_THROW((void)tp.probe(1, 0, 1), TransportError);
 }
 
-TEST(Transport, FinishIsIdempotentAndCleanShutdownDoesNotAbort) {
-  InProcTransport tp(2);
+TRANSPORT_CASE(FinishIsIdempotentAndCleanShutdownDoesNotAbort) {
+  T tp(2);
   tp.send(0, 1, 1, bytes({1}));
   tp.finish(0);
   tp.finish(0);

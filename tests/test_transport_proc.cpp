@@ -1,15 +1,12 @@
-// Unit tests for the out-of-process transport (comm/proc_transport):
-// the same MPI-like semantics as InProcTransport — (source, tag)
-// matching with wildcards, FIFO per (src, dst, tag) channel, exact
-// deadlock detection, watchdog, abort poisoning, per-rank stats — now
-// over a process-shared segment. The primitives are process-shared, so
-// the suite drives most behaviors from threads (cheap, deterministic)
-// and adds true cross-process smoke via fork. A dedicated test pins the
-// DIAGNOSTIC STRINGS equal to InProcTransport's for identical
-// scenarios: tooling and fault tests must not care which transport ran.
+// Proc-only tests for the out-of-process transport
+// (comm/proc_transport). The semantics it shares with InProcTransport
+// run as the TransportProc.* instantiation of the suite in
+// test_transport.cpp; this file covers what only the shared-memory
+// backend has: the bounded message pool, true cross-process delivery
+// via fork, the unsupported-platform error, and a check that identical
+// scenarios print identical diagnostics on both transports.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <initializer_list>
 #include <string>
 #include <thread>
@@ -39,166 +36,6 @@ TEST(TransportProc, UnsupportedPlatformThrowsLoudly) {
 }
 
 #else
-
-TEST(TransportProc, SendRecvRoundtrip) {
-  ProcTransport tp(2);
-  std::thread sender([&] { tp.send(0, 1, 42, bytes({1, 2, 3})); });
-  const Message m = tp.recv(1, 0, 42);
-  sender.join();
-  EXPECT_EQ(m.src, 0);
-  EXPECT_EQ(m.tag, 42);
-  EXPECT_EQ(m.payload, bytes({1, 2, 3}));
-}
-
-TEST(TransportProc, MatchingAndFifoPerChannel) {
-  ProcTransport tp(3);
-  // Tag matching skips non-matching older messages.
-  tp.send(0, 0, 1, bytes({10}));
-  tp.send(0, 0, 2, bytes({20}));
-  EXPECT_EQ(tp.recv(0, 0, 2).payload, bytes({20}));
-  EXPECT_EQ(tp.recv(0, 0, 1).payload, bytes({10}));
-  // Source matching.
-  tp.send(1, 2, 7, bytes({1}));
-  tp.send(0, 2, 7, bytes({0}));
-  EXPECT_EQ(tp.recv(2, 0, 7).payload, bytes({0}));
-  EXPECT_EQ(tp.recv(2, 1, 7).payload, bytes({1}));
-  // FIFO within one (src, dst, tag) channel.
-  for (int i = 0; i < 5; ++i) tp.send(0, 1, 9, bytes({i}));
-  for (int i = 0; i < 5; ++i)
-    EXPECT_EQ(tp.recv(1, 0, 9).payload, bytes({i})) << "message " << i;
-  // ...and a backlog on one tag neither blocks nor reorders another.
-  tp.send(0, 1, 7, bytes({70}));
-  tp.send(0, 1, 9, bytes({90}));
-  tp.send(0, 1, 7, bytes({71}));
-  tp.send(0, 1, 9, bytes({91}));
-  EXPECT_EQ(tp.recv(1, 0, 9).payload, bytes({90}));
-  EXPECT_EQ(tp.recv(1, 0, 9).payload, bytes({91}));
-  EXPECT_EQ(tp.recv(1, 0, 7).payload, bytes({70}));
-  EXPECT_EQ(tp.recv(1, 0, 7).payload, bytes({71}));
-}
-
-TEST(TransportProc, Wildcards) {
-  ProcTransport tp(3);
-  tp.send(2, 0, 5, bytes({2}));
-  const Message any_src = tp.recv(0, kAnySource, 5);
-  EXPECT_EQ(any_src.src, 2);
-  tp.send(1, 0, 8, bytes({8}));
-  const Message any_tag = tp.recv(0, 1, kAnyTag);
-  EXPECT_EQ(any_tag.tag, 8);
-  tp.send(1, 0, 3, bytes({3}));
-  const Message any_any = tp.recv(0, kAnySource, kAnyTag);
-  EXPECT_EQ(any_any.src, 1);
-  EXPECT_EQ(any_any.tag, 3);
-}
-
-TEST(TransportProc, ProbeIsNonBlocking) {
-  ProcTransport tp(2);
-  EXPECT_FALSE(tp.probe(1, 0, 4));
-  EXPECT_FALSE(tp.probe(1, kAnySource, kAnyTag));
-  tp.send(0, 1, 4, bytes({1}));
-  EXPECT_TRUE(tp.probe(1, 0, 4));
-  EXPECT_TRUE(tp.probe(1, kAnySource, kAnyTag));
-  EXPECT_FALSE(tp.probe(1, 0, 5));  // wrong tag
-  (void)tp.recv(1, 0, 4);
-  EXPECT_FALSE(tp.probe(1, 0, 4));
-}
-
-TEST(TransportProc, StatsCountMessagesAndBytes) {
-  ProcTransport tp(2);
-  tp.send(0, 1, 1, bytes({1, 2, 3, 4}));
-  tp.send(0, 1, 1, bytes({5}));
-  (void)tp.recv(1, 0, 1);
-  EXPECT_EQ(tp.stats(0).messages_sent, 2);
-  EXPECT_EQ(tp.stats(0).bytes_sent, 5);
-  EXPECT_EQ(tp.stats(1).messages_received, 1);
-  EXPECT_EQ(tp.stats(1).bytes_received, 4);
-  EXPECT_EQ(tp.stats(1).messages_sent, 0);
-}
-
-TEST(TransportProc, DeadlockAllBlockedDetectedImmediately) {
-  ProcTransport tp(2, /*watchdog_seconds=*/600.0);
-  std::string what0, what1;
-  std::thread r0([&] {
-    try {
-      (void)tp.recv(0, 1, 11);
-      ADD_FAILURE() << "rank 0 recv returned";
-    } catch (const DeadlockError& e) {
-      what0 = e.what();
-    }
-  });
-  std::thread r1([&] {
-    try {
-      (void)tp.recv(1, 0, 22);
-      ADD_FAILURE() << "rank 1 recv returned";
-    } catch (const DeadlockError& e) {
-      what1 = e.what();
-    }
-  });
-  r0.join();
-  r1.join();
-  for (const std::string& what : {what0, what1}) {
-    EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("blocked in recv"), std::string::npos) << what;
-  }
-  EXPECT_NE(what0.find("tag=11"), std::string::npos) << what0;
-  EXPECT_NE(what0.find("tag=22"), std::string::npos) << what0;
-}
-
-TEST(TransportProc, DeadlockWaitingOnFinishedPeer) {
-  ProcTransport tp(2, /*watchdog_seconds=*/600.0);
-  std::thread r0([&] {
-    EXPECT_THROW((void)tp.recv(0, 1, 33), DeadlockError);
-  });
-  tp.finish(1);
-  r0.join();
-}
-
-TEST(TransportProc, WatchdogBoundsSilentHangs) {
-  ProcTransport tp(2, /*watchdog_seconds=*/0.2);
-  try {
-    (void)tp.recv(0, 1, 44);  // rank 1 never blocks, finishes, or sends
-    FAIL() << "recv returned";
-  } catch (const DeadlockError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
-    EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("tag=44"), std::string::npos) << what;
-  }
-}
-
-TEST(TransportProc, AbortWakesBlockedReceiversAndPoisons) {
-  ProcTransport tp(2, /*watchdog_seconds=*/600.0);
-  std::string what;
-  std::thread r0([&] {
-    try {
-      (void)tp.recv(0, 1, 55);
-      ADD_FAILURE() << "recv returned";
-    } catch (const DeadlockError&) {
-      ADD_FAILURE() << "abort() must not masquerade as deadlock";
-    } catch (const TransportError& e) {
-      what = e.what();
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  tp.abort("rank 1 exploded");
-  r0.join();
-  EXPECT_NE(what.find("rank 1 exploded"), std::string::npos) << what;
-  EXPECT_THROW(tp.send(0, 1, 1, bytes({1})), TransportError);
-  EXPECT_THROW((void)tp.recv(1, 0, 1), TransportError);
-  EXPECT_THROW((void)tp.probe(1, 0, 1), TransportError);
-}
-
-TEST(TransportProc, FinishIsIdempotentAndCleanShutdownDoesNotAbort) {
-  ProcTransport tp(2);
-  tp.send(0, 1, 1, bytes({1}));
-  tp.finish(0);
-  tp.finish(0);
-  EXPECT_EQ(tp.recv(1, 0, 1).payload, bytes({1}));  // queued before finish
-  tp.finish(1);
-  EXPECT_EQ(tp.stats(0).messages_sent, 1);
-}
 
 // The liveness invariant the deadlock proof rests on is "sends never
 // block"; the bump pool buys it with finite capacity. Exhaustion must

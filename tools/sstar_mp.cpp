@@ -57,7 +57,6 @@
 
 #include "analysis/audit.hpp"
 #include "analysis/comm_audit.hpp"
-#include "analysis/panel_lifetime.hpp"
 #include "blas/kernel_backend.hpp"
 #include "core/lu_1d.hpp"
 #include "core/lu_2d.hpp"
